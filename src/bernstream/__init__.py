@@ -11,65 +11,42 @@ Research cipher: no nonce, no authentication, no key schedule. Do not
 protect real data with it.
 """
 
-from .analysis import (BifurcationRecord, CycleResult, bifurcation_scan,
-                       byte_section, coverage, cycle_length,
-                       write_bifurcation_csv)
-from .cipher import (CipherIOError, CipherKey, DegenerateKeyError,
-                     KeyFormatError, WeakMuError, decrypt_bytes,
-                     decrypt_stream, encrypt_bytes, encrypt_stream,
-                     generate_key, parse_key)
-from .keystream import (ByteQuad, KeystreamGenerator, combine,
-                        keystream_bytes, reassemble, split_half, split_word)
-from .prng import (MU_MAX, WORD_BITS, WORD_MASK, BernoulliGenerator,
-                   generalization_factor, max_step_value, step,
-                   step_reference)
-from .stats import (ALPHA, TestReport, bits_from_bytes, block_frequency_test,
-                    cusum_test, fft_test, frequency_test, run_suite,
-                    runs_test)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALPHA",
-    "BernoulliGenerator",
-    "BifurcationRecord",
-    "ByteQuad",
-    "CipherIOError",
-    "CipherKey",
-    "CycleResult",
-    "DegenerateKeyError",
-    "KeyFormatError",
-    "KeystreamGenerator",
-    "MU_MAX",
-    "TestReport",
-    "WORD_BITS",
-    "WORD_MASK",
-    "WeakMuError",
-    "bifurcation_scan",
-    "bits_from_bytes",
-    "block_frequency_test",
-    "byte_section",
-    "combine",
-    "coverage",
-    "cusum_test",
-    "cycle_length",
-    "decrypt_bytes",
-    "decrypt_stream",
-    "encrypt_bytes",
-    "encrypt_stream",
-    "fft_test",
-    "frequency_test",
-    "generalization_factor",
-    "generate_key",
-    "keystream_bytes",
-    "max_step_value",
-    "parse_key",
-    "reassemble",
-    "run_suite",
-    "runs_test",
-    "split_half",
-    "split_word",
-    "step",
-    "step_reference",
-    "write_bifurcation_csv",
-]
+# Public names by submodule. They are imported on first use (PEP 562), so
+# `import bernstream` and the numpy-free commands do not load numpy.
+_EXPORTS = {
+    "analysis": ("BifurcationRecord", "CycleResult", "bifurcation_scan",
+                 "byte_section", "coverage", "cycle_length",
+                 "write_bifurcation_csv"),
+    "cipher": ("CipherIOError", "CipherKey", "DegenerateKeyError",
+               "KeyFormatError", "WeakMuError", "decrypt_bytes",
+               "decrypt_stream", "encrypt_bytes", "encrypt_stream",
+               "generate_key", "parse_key"),
+    "keystream": ("ByteQuad", "KeystreamGenerator", "combine",
+                  "keystream_bytes", "reassemble", "split_half", "split_word"),
+    "prng": ("MU_MAX", "WORD_BITS", "WORD_MASK", "BernoulliGenerator",
+             "generalization_factor", "max_step_value", "step",
+             "step_reference"),
+    "stats": ("ALPHA", "TestReport", "bits_from_bytes", "block_frequency_test",
+              "cusum_test", "fft_test", "frequency_test", "run_suite",
+              "runs_test"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,10 +15,10 @@ import secrets
 import string
 from dataclasses import dataclass
 
-import numpy as np
-
-from .keystream import KeystreamGenerator
 from .prng import MU_MAX, WORD_MASK
+
+# numpy and the keystream are imported by the functions that use them, so
+# that key handling, and the CLI that imports it, load without numpy.
 
 # mu/256 > 1/2 keeps the map expansive; below that orbits contract onto
 # short cycles and the keystream degrades.
@@ -67,12 +67,15 @@ class CipherKey:
         """Reject keys that cannot produce a usable keystream.
 
         Identical generators XOR-cancel to an all-zero keystream; that
-        check can never be lifted. The mu >= 129 guard is a conservative
-        strength floor and may be lifted for research use.
+        check can never be lifted. A step discards the top bit of the
+        state, so seeds that differ only there give identical generators
+        too. The mu >= 129 guard is a conservative strength floor and may
+        be lifted for research use.
         """
-        if self.seed1 == self.seed2 and self.mu1 == self.mu2:
+        if self.mu1 == self.mu2 and (self.seed1 ^ self.seed2) & 0x7FFFFFFF == 0:
             raise DegenerateKeyError(
-                "degenerate key: identical generators cancel to an all-zero keystream")
+                "degenerate key: the generators coincide after one step (equal mu, "
+                "seeds equal but for the top bit) and cancel to an all-zero keystream")
         if not allow_weak_mu and min(self.mu1, self.mu2) < MU_MIN_STRONG:
             raise WeakMuError(
                 f"weak key: feedback factors must be >= {MU_MIN_STRONG} "
@@ -117,13 +120,37 @@ def generate_key() -> CipherKey:
 def _xor_bytes(data: bytes, ks: bytes) -> bytes:
     if not data:
         return b""
+    import numpy as np
+
     a = np.frombuffer(data, dtype=np.uint8)
     b = np.frombuffer(ks, dtype=np.uint8)
     return (a ^ b).tobytes()
 
 
+def _write_all(dst, data: bytes, offset: int) -> None:
+    """Write all of data, which starts at stream position `offset`.
+
+    write() returns the count it took; a sink that returns None instead,
+    as many file-likes do, is taken to have written everything.
+    """
+    pending = data
+    while pending:
+        try:
+            n = dst.write(pending)
+        except OSError as exc:
+            raise CipherIOError(f"write failed at byte {offset}: {exc}") from exc
+        if n is None:
+            return
+        if n == 0:
+            raise CipherIOError(f"write failed at byte {offset}: the sink took no bytes")
+        offset += n
+        pending = memoryview(pending)[n:]
+
+
 def encrypt_bytes(key: CipherKey, data: bytes, allow_weak_mu: bool = False) -> bytes:
     """XOR data with the key's keystream. Output length equals input length."""
+    from .keystream import KeystreamGenerator
+
     gen = KeystreamGenerator.from_key(key, allow_weak_mu=allow_weak_mu)
     return _xor_bytes(data, gen.read(len(data)))
 
@@ -133,9 +160,13 @@ def encrypt_stream(key: CipherKey, src, dst, allow_weak_mu: bool = False,
     """XOR src into dst in chunks; returns the byte count processed.
 
     Memory use is constant in the input size. The key is validated before
-    anything is read or written. I/O failures are re-raised as
-    CipherIOError carrying the stream position.
+    anything is read or written. A sink that takes only part of a chunk
+    per write(), as a raw unbuffered file may, gets the rest in further
+    calls. I/O failures are re-raised as CipherIOError carrying the
+    stream position.
     """
+    from .keystream import KeystreamGenerator
+
     if chunk_size < 1:
         raise ValueError(f"chunk size must be >= 1: {chunk_size!r}")
     gen = KeystreamGenerator.from_key(key, allow_weak_mu=allow_weak_mu)
@@ -147,11 +178,7 @@ def encrypt_stream(key: CipherKey, src, dst, allow_weak_mu: bool = False,
             raise CipherIOError(f"read failed at byte {done}: {exc}") from exc
         if not chunk:
             return done
-        out = _xor_bytes(chunk, gen.read(len(chunk)))
-        try:
-            dst.write(out)
-        except OSError as exc:
-            raise CipherIOError(f"write failed at byte {done}: {exc}") from exc
+        _write_all(dst, _xor_bytes(chunk, gen.read(len(chunk))), done)
         done += len(chunk)
 
 

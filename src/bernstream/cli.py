@@ -14,19 +14,18 @@ import os
 import sys
 from contextlib import contextmanager
 
+# Nothing imported here may import numpy, so that `cycle` starts without
+# it; the commands that need keystream or stats import them when they run.
 from .analysis import (DEFAULT_MAX_STEPS, DEFAULT_SAMPLES, DEFAULT_TRANSIENT,
-                       bifurcation_scan, cycle_length, write_bifurcation_csv)
-from .cipher import (DegenerateKeyError, KeyFormatError, encrypt_stream,
-                     generate_key, parse_key)
-from .keystream import KeystreamGenerator
-from .stats import DEFAULT_BLOCK_SIZE, run_suite
+                       bifurcation_sections, cycle_length,
+                       write_bifurcation_sections)
+from .cipher import (DEFAULT_CHUNK_SIZE, DegenerateKeyError, KeyFormatError,
+                     encrypt_stream, generate_key, parse_key)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BAD_KEY = 2
 EXIT_IO = 3
-
-_CHUNK = 64 * 1024
 
 
 class _UsageError(Exception):
@@ -124,9 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="input file (default: stdin)")
     p.add_argument("--report", choices=("text", "json"), default="text",
                    help="report format (default: text)")
-    p.add_argument("--block-size", type=_int_arg, default=DEFAULT_BLOCK_SIZE,
-                   metavar="M", help=f"block frequency block size "
-                   f"(default: {DEFAULT_BLOCK_SIZE})")
+    p.add_argument("--block-size", type=_int_arg, default=None, metavar="M",
+                   help="block frequency block size (default: 128)")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("bifurcate", help="emit bifurcation-diagram CSV data")
@@ -165,14 +163,13 @@ def cmd_keygen(args) -> int:
 def cmd_keystream(args) -> int:
     if args.bytes < 0:
         raise ValueError("--bytes must be >= 0")
+    from .keystream import KeystreamGenerator
+
     key = _load_key(args)
     gen = KeystreamGenerator.from_key(key, allow_weak_mu=args.allow_weak_mu)
     with _binary_out(args.out) as dst:
-        remaining = args.bytes
-        while remaining > 0:
-            chunk = gen.read(min(_CHUNK, remaining))
-            dst.write(chunk)
-            remaining -= len(chunk)
+        for start in range(0, args.bytes, DEFAULT_CHUNK_SIZE):
+            dst.write(gen.read(min(DEFAULT_CHUNK_SIZE, args.bytes - start)))
     return EXIT_OK
 
 
@@ -184,9 +181,12 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_test(args) -> int:
+    from .stats import DEFAULT_BLOCK_SIZE, run_suite
+
     with _binary_in(args.infile) as src:
         data = src.read()
-    reports = run_suite(data, block_size=args.block_size)
+    block_size = DEFAULT_BLOCK_SIZE if args.block_size is None else args.block_size
+    reports = run_suite(data, block_size=block_size)
     if args.report == "json":
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     else:
@@ -199,12 +199,12 @@ def cmd_test(args) -> int:
 
 
 def cmd_bifurcate(args) -> int:
-    records = bifurcation_scan(args.mu_min, args.mu_max, args.seed,
-                               transient=args.transient,
-                               samples=args.samples,
-                               section=args.section)
+    values = bifurcation_sections(args.mu_min, args.mu_max, args.seed,
+                                  transient=args.transient,
+                                  samples=args.samples,
+                                  section=args.section)
     with _text_out(args.out) as dst:
-        write_bifurcation_csv(records, dst)
+        write_bifurcation_sections(values, args.mu_min, args.section, dst)
     return EXIT_OK
 
 

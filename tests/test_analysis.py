@@ -3,12 +3,15 @@ import random
 
 import pytest
 
-from bernstream.analysis import (BifurcationRecord, bifurcation_scan,
-                                 byte_section, coverage, cycle_length,
-                                 write_bifurcation_csv)
+from bernstream import analysis
+from bernstream.analysis import (CYCLE_BLOCK, LANE_THRESHOLD,
+                                 BifurcationRecord, bifurcation_scan,
+                                 bifurcation_sections, byte_section, coverage,
+                                 cycle_length, write_bifurcation_csv,
+                                 write_bifurcation_sections)
 from bernstream.prng import generalization_factor, max_step_value
 
-from oracles import cycle_visited, verify_cycle
+from oracles import advance, cycle_visited, orbit_reference, verify_cycle
 
 
 def test_byte_section_extraction():
@@ -69,6 +72,45 @@ class TestBifurcationScan:
             bifurcation_scan(0, 255, 0, transient=-1)
 
 
+def reference_scan(mu_min, mu_max, x0, transient, samples, section):
+    """(mu, value) pairs of a scan, from the arithmetic oracle orbit."""
+    return [(mu, word // 256 ** (4 - section) % 256)
+            for mu in range(mu_min, mu_max + 1)
+            for word in orbit_reference(x0, mu, transient + samples)[transient:]]
+
+
+@pytest.mark.parametrize("width", [1, LANE_THRESHOLD - 1, LANE_THRESHOLD,
+                                   LANE_THRESHOLD + 1, 256])
+@pytest.mark.parametrize("x0", [0, 2**31, 2**32 - 1])
+def test_scan_and_csv_match_oracle(width, x0):
+    # both stepping branches (per-mu iterate below LANE_THRESHOLD, vector
+    # lanes from it on), every section, with and without a transient; the
+    # scan reaches mu 0 from x0 = 0 and mu 255 otherwise
+    mu_min = 0 if x0 == 0 else 256 - width
+    mu_max = mu_min + width - 1
+    for section in (1, 2, 3, 4):
+        for transient, samples in ((0, 3), (11, 2)):
+            expected = reference_scan(mu_min, mu_max, x0, transient, samples, section)
+            records = bifurcation_scan(mu_min, mu_max, x0, transient=transient,
+                                       samples=samples, section=section)
+            assert records == [BifurcationRecord(mu, section, v) for mu, v in expected]
+            values = bifurcation_sections(mu_min, mu_max, x0, transient=transient,
+                                          samples=samples, section=section)
+            assert values.shape == (width, samples)
+            fast, slow = io.StringIO(), io.StringIO()
+            write_bifurcation_sections(values, mu_min, section, fast)
+            write_bifurcation_csv(records, slow)
+            assert fast.getvalue() == slow.getvalue()
+
+
+def test_scan_rejects_out_of_range_x0():
+    for x0 in (-1, 2**32):
+        with pytest.raises(ValueError):
+            bifurcation_sections(0, 255, x0)
+        with pytest.raises(ValueError):
+            bifurcation_sections(0, 0, x0)
+
+
 def test_csv_output_format():
     records = [BifurcationRecord(170, 1, 43), BifurcationRecord(171, 1, 212)]
     buf = io.StringIO()
@@ -121,6 +163,95 @@ class TestCycleLength:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             cycle_length(1, 170, max_steps=0)
+
+
+# Orbits from the visited-set oracle, as (seed, mu, tail, period). Starting
+# `d` steps along an orbit shortens its tail by d, which places the tail
+# anywhere relative to the block marks.
+SHORT_PERIOD = (43199109, 133, 12886, 1488)  # period < CYCLE_BLOCK
+LONG_PERIOD = (3066604971, 161, 6043, 9932)  # period > 2 * CYCLE_BLOCK
+SMALL = (448735339, 129, 666, 1184)
+
+
+def with_tail(orbit, tail):
+    """A seed on `orbit` whose tail is `tail`."""
+    seed, mu, full_tail, _ = orbit
+    return advance(seed, mu, full_tail - tail), mu
+
+
+def first_recurrence(tail, period, block):
+    """Where the single pass finds the cycle: the first index e whose
+    earlier occurrence e - period is a mark or lies in e's own block, and
+    the replay that placing the tail then costs (0 when the last two
+    blocks hold the words it needs)."""
+    e = tail + period
+    while (e - period) % block and (e - period - 1) // block != (e - 1) // block:
+        e += 1
+    o = e - period
+    s = (o - 1) // block * block
+    base = (e - 1) // block * block
+    kept_from = max(base - block, 0)
+    return e, (o - s if o and s < kept_from else 0)
+
+
+CYCLE_CASES = [
+    # (name, block size, orbit, tail)
+    ("tail 0", CYCLE_BLOCK, SHORT_PERIOD, 0),
+    ("tail in the first block", CYCLE_BLOCK, SHORT_PERIOD, 100),
+    ("tail at the second mark", CYCLE_BLOCK, SHORT_PERIOD, 2 * CYCLE_BLOCK),
+    ("tail one past a mark", CYCLE_BLOCK, SHORT_PERIOD, CYCLE_BLOCK + 1),
+    ("long period, replayed tail", CYCLE_BLOCK, LONG_PERIOD, 6043),
+    ("long period, tail at a mark", CYCLE_BLOCK, LONG_PERIOD, CYCLE_BLOCK),
+    ("period = block", 1184, SMALL, 666),
+    ("period = 4 blocks", 296, SMALL, 666),
+    ("period = 4 blocks, tail at a mark", 296, SMALL, 592),
+    ("period = 32 blocks, tail 0", 37, SMALL, 0),
+    ("every state a mark", 1, SMALL, 666),
+    ("block of 2", 2, SMALL, 665),
+]
+
+
+@pytest.mark.parametrize("name, block, orbit, tail", CYCLE_CASES,
+                         ids=[c[0] for c in CYCLE_CASES])
+def test_single_pass_agrees_with_visited_set(monkeypatch, name, block, orbit, tail):
+    monkeypatch.setattr(analysis, "CYCLE_BLOCK", block)
+    seed, mu = with_tail(orbit, tail)
+    period = orbit[3]
+    assert cycle_visited(seed, mu, 40_000) == (tail, period)
+    result = cycle_length(seed, mu)
+    assert (result.tail, result.period) == (tail, period)
+    e, replay = first_recurrence(tail, period, block)
+    assert e <= result.steps_examined <= e + block + replay
+    assert result.steps_examined < tail + period + 3 * block
+
+
+@pytest.mark.parametrize("block, orbit, tail, replays", [
+    (CYCLE_BLOCK, LONG_PERIOD, 6043, True),
+    (CYCLE_BLOCK, LONG_PERIOD, CYCLE_BLOCK, True),
+    (CYCLE_BLOCK, SHORT_PERIOD, 2 * CYCLE_BLOCK, False),
+    (CYCLE_BLOCK, SHORT_PERIOD, 0, False),
+    (296, SMALL, 666, True),
+])
+def test_budget_at_the_recurrence_and_the_replay(monkeypatch, block, orbit, tail,
+                                                 replays):
+    # Blocks are stepped whole unless the budget cuts them, so a result
+    # that needs a replay needs the budget of the block that holds e,
+    # plus the replay; one that needs none is found with a budget of e.
+    monkeypatch.setattr(analysis, "CYCLE_BLOCK", block)
+    seed, mu = with_tail(orbit, tail)
+    e, replay = first_recurrence(tail, orbit[3], block)
+    end = -(-e // block) * block
+    need = end + replay if replay else e
+    assert (replay > 0) == replays
+    for budget in sorted({e - 1, e, need - 1, need}):
+        result = cycle_length(seed, mu, max_steps=budget)
+        assert result.steps_examined <= budget
+        if budget >= need:
+            assert (result.tail, result.period) == (tail, orbit[3])
+            assert result.steps_examined == min(budget, end) + replay
+        else:
+            assert not result.found
+            assert result.steps_examined == min(budget, end)
 
 
 class TestCoverage:

@@ -2,12 +2,15 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernstream.cipher import (CipherIOError, CipherKey, DegenerateKeyError,
                                KeyFormatError, WeakMuError, decrypt_bytes,
                                decrypt_stream, encrypt_bytes, encrypt_stream,
                                generate_key, parse_key)
-from bernstream.keystream import keystream_bytes
+from bernstream.keystream import KeystreamGenerator, keystream_bytes
+from bernstream.prng import BernoulliGenerator
 
 GOOD_KEY = parse_key("AAAAAAAAAABBBBBBBBBB")
 
@@ -52,6 +55,23 @@ class TestParseKey:
     def test_weak_mu_flag_never_lifts_degeneracy(self):
         with pytest.raises(DegenerateKeyError):
             parse_key("AAAAAAAA00AAAAAAAA00", allow_weak_mu=True)
+
+    def test_seeds_equal_but_for_the_top_bit_are_degenerate(self):
+        # a step drops the top bit, so these generators coincide after one
+        # step: the keystream would be all zero
+        alias = CipherKey(seed1=0x12345678, mu1=0xC8, seed2=0x92345678, mu2=0xC8)
+        unchecked = KeystreamGenerator(BernoulliGenerator(alias.seed1, alias.mu1),
+                                       BernoulliGenerator(alias.seed2, alias.mu2))
+        assert unchecked.read(4096) == bytes(4096)
+        for allow in (False, True):
+            with pytest.raises(DegenerateKeyError, match="degenerate"):
+                parse_key("12345678C892345678C8", allow_weak_mu=allow)
+            with pytest.raises(DegenerateKeyError):
+                encrypt_bytes(alias, b"plaintext", allow_weak_mu=allow)
+        with pytest.raises(DegenerateKeyError):
+            parse_key("92345678C812345678C8")
+        # the top bit matters once the factors differ
+        parse_key("12345678C892345678C9")
 
     def test_round_trip_through_hex(self):
         assert parse_key(GOOD_KEY.to_hex()) == GOOD_KEY
@@ -157,6 +177,62 @@ class TestEncrypt:
             encrypt_stream(GOOD_KEY, FailsAfter(2), io.BytesIO(),
                            chunk_size=1024)
 
+    def test_short_writes_are_completed(self):
+        class Trickle:
+            """A raw sink that takes at most 1000 bytes per write()."""
+
+            def __init__(self):
+                self.data = bytearray()
+                self.calls = 0
+
+            def write(self, data):
+                self.calls += 1
+                taken = bytes(data[:1000])
+                self.data += taken
+                return len(taken)
+
+        msg = random.Random(0x5407).randbytes(10_000)
+        sink = Trickle()
+        assert encrypt_stream(GOOD_KEY, io.BytesIO(msg), sink, chunk_size=4096) == len(msg)
+        assert bytes(sink.data) == encrypt_bytes(GOOD_KEY, msg)
+        assert sink.calls == 12  # 5 + 5 + 2 writes for chunks of 4096, 4096, 1808
+
+    def test_write_failure_after_a_short_write_carries_position(self):
+        class TakesHalfThenFails:
+            def __init__(self):
+                self.calls = 0
+
+            def write(self, data):
+                self.calls += 1
+                if self.calls > 1:
+                    raise OSError("pipe closed")
+                return len(data) // 2
+
+        with pytest.raises(CipherIOError, match="at byte 1500"):
+            encrypt_stream(GOOD_KEY, io.BytesIO(bytes(3000)), TakesHalfThenFails())
+
+    def test_sink_without_a_count_takes_each_chunk_once(self):
+        class Collector:
+            def __init__(self):
+                self.chunks = []
+
+            def write(self, data):
+                self.chunks.append(bytes(data))
+
+        msg = random.Random(0xC011).randbytes(2500)
+        sink = Collector()
+        encrypt_stream(GOOD_KEY, io.BytesIO(msg), sink, chunk_size=1000)
+        assert [len(c) for c in sink.chunks] == [1000, 1000, 500]
+        assert b"".join(sink.chunks) == encrypt_bytes(GOOD_KEY, msg)
+
+    def test_sink_that_takes_nothing_is_an_error(self):
+        class Stuck:
+            def write(self, data):
+                return 0
+
+        with pytest.raises(CipherIOError, match="at byte 0"):
+            encrypt_stream(GOOD_KEY, io.BytesIO(b"payload"), Stuck())
+
     def test_write_failure_carries_position(self):
         class BrokenSink:
             def write(self, data):
@@ -171,3 +247,25 @@ def test_generate_key_never_emits_invalid_keys():
         key = generate_key()
         key.validate()  # raises on degenerate or weak draws
         assert parse_key(key.to_hex()) == key
+
+
+seeds = st.integers(0, 2**32 - 1)
+factors = st.integers(0, 255)
+
+
+@st.composite
+def keys_near_the_degenerate_class(draw):
+    seed1, mu1 = draw(seeds), draw(factors)
+    seed2 = draw(st.sampled_from([seed1, seed1 ^ 2**31]) | seeds)
+    mu2 = draw(st.just(mu1) | factors)
+    return CipherKey(seed1=seed1, mu1=mu1, seed2=seed2, mu2=mu2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys_near_the_degenerate_class())
+def test_every_accepted_key_gives_a_nonzero_keystream(key):
+    try:
+        accepted = parse_key(key.to_hex())
+    except DegenerateKeyError:
+        return
+    assert keystream_bytes(accepted, 4096) != bytes(4096)

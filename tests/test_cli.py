@@ -5,10 +5,12 @@ import sys
 
 import pytest
 
-from bernstream.cipher import parse_key
+from bernstream.cipher import DEFAULT_CHUNK_SIZE, parse_key
+from bernstream.keystream import keystream_bytes
+from bernstream.stats import DEFAULT_BLOCK_SIZE
 from bernstream.cli import EXIT_BAD_KEY, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
-from oracles import keystream_reference
+from oracles import keystream_reference, orbit_reference
 
 SIM_KEY_HEX = "AAAAAAAAAABBBBBBBBBB"
 # frozen from the arithmetic oracle (keystream_reference, checked below)
@@ -41,6 +43,17 @@ def test_keystream_to_file(tmp_path):
     data = out.read_bytes()
     assert len(data) == 1000
     assert data[:16] == KS16
+
+
+def test_keystream_across_chunks(tmp_path):
+    # read in DEFAULT_CHUNK_SIZE pieces, it equals one read of the same length
+    key = parse_key(SIM_KEY_HEX)
+    for n in (0, 2 * DEFAULT_CHUNK_SIZE + 5):
+        out = tmp_path / f"ks{n}.bin"
+        rc = main(["keystream", "--key", SIM_KEY_HEX, "--bytes", str(n),
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        assert out.read_bytes() == keystream_bytes(key, n)
 
 
 def test_key_file_with_trailing_newline(tmp_path, capsysbinary):
@@ -177,6 +190,10 @@ class TestTestCommand:
         reports = json.loads(capsys.readouterr().out)
         block = next(r for r in reports if r["test"] == "block_frequency")
         assert block["params"]["block_size"] == 64
+        main(["test", "--in", str(passing_sample), "--report", "json"])
+        reports = json.loads(capsys.readouterr().out)
+        block = next(r for r in reports if r["test"] == "block_frequency")
+        assert block["params"]["block_size"] == DEFAULT_BLOCK_SIZE
 
     def test_reads_stdin_in_real_process(self, passing_sample):
         proc = subprocess.run(
@@ -208,6 +225,26 @@ def test_bifurcate_to_file(tmp_path):
                "--samples", "3", "--transient", "1", "--out", str(out)])
     assert rc == EXIT_OK
     assert out.read_text() == "mu,section,value\n0,1,128\n0,1,128\n0,1,128\n"
+
+
+def test_bifurcate_wide_scan_matches_oracle(tmp_path):
+    out = tmp_path / "bif.csv"
+    rc = main(["bifurcate", "--mu-min", "200", "--mu-max", "255",
+               "--seed", "0xDEADBEEF", "--samples", "4", "--transient", "7",
+               "--section", "4", "--out", str(out)])
+    assert rc == EXIT_OK
+    rows = [f"{mu},4,{word % 256}\n" for mu in range(200, 256)
+            for word in orbit_reference(0xDEADBEEF, mu, 11)[7:]]
+    assert out.read_text() == "mu,section,value\n" + "".join(rows)
+
+
+def test_bifurcate_bad_range_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "bif.csv"
+    rc = main(["bifurcate", "--mu-min", "200", "--mu-max", "100",
+               "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert "empty mu range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cycle_text_output(capsys):
