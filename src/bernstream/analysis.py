@@ -21,8 +21,9 @@ DEFAULT_MAX_STEPS = 10_000_000
 # One vector step costs about 3.6 us whatever its width, one scalar step
 # about 0.2 us, so the two break even near 18 orbits.
 LANE_THRESHOLD = 18
-# Words per block of cycle_length's single pass; the state at each block
-# start is kept as a mark.
+# Words per block of cycle_length's single pass, where the state at each
+# block start is kept as a mark, and of every long run of outputs stepped
+# with BernoulliGenerator.iterate, so memory stays flat.
 CYCLE_BLOCK = 4096
 
 CSV_HEADER = "mu,section,value"
@@ -66,6 +67,12 @@ def byte_section(x: int, section: int) -> int:
     return (x >> _section_shift(section)) & 0xFF
 
 
+def _iterate_blocks(gen: BernoulliGenerator, n: int):
+    """gen's next n output words, as lists of at most CYCLE_BLOCK words."""
+    for done in range(0, n, CYCLE_BLOCK):
+        yield gen.iterate(min(CYCLE_BLOCK, n - done))
+
+
 def bifurcation_sections(mu_min: int, mu_max: int, x0: int,
                           transient: int = DEFAULT_TRANSIENT,
                           samples: int = DEFAULT_SAMPLES,
@@ -97,7 +104,8 @@ def bifurcation_sections(mu_min: int, mu_max: int, x0: int,
     if len(mus) < LANE_THRESHOLD:
         for row, mu in zip(out, mus):
             gen = BernoulliGenerator(x0, mu)
-            gen.iterate(transient)
+            for _ in _iterate_blocks(gen, transient):
+                pass
             row[:] = np.array(gen.iterate(samples), dtype=np.uint32) >> shift
         return out
     mu = np.array(mus, dtype=np.uint64)
@@ -147,8 +155,8 @@ def coverage(seed: int, mu: int, section: int, n: int) -> float:
     shift = _section_shift(section)
     gen = BernoulliGenerator(seed, mu)
     seen = set()
-    for w in gen.iterate(n):
-        seen.add((w >> shift) & 0xFF)
+    for block in _iterate_blocks(gen, n):
+        seen.update((w >> shift) & 0xFF for w in block)
     return len(seen) / 256.0
 
 

@@ -37,7 +37,8 @@ class DegenerateKeyError(ValueError):
 
 
 class WeakMuError(DegenerateKeyError):
-    """A feedback factor is below the expansive-regime minimum."""
+    """A feedback factor is below the expansive-regime minimum, or the two
+    factors are equal."""
 
 
 class CipherIOError(OSError):
@@ -69,17 +70,25 @@ class CipherKey:
         Identical generators XOR-cancel to an all-zero keystream; that
         check can never be lifted. A step discards the top bit of the
         state, so seeds that differ only there give identical generators
-        too. The mu >= 129 guard is a conservative strength floor and may
-        be lifted for research use.
+        too. The weak-key guard may be lifted for research use: it requires
+        mu >= 129, a conservative strength floor, and mu1 != mu2, because
+        two orbits of one map tend to fall onto the same few cycles, which
+        gives a keystream of short period.
         """
         if self.mu1 == self.mu2 and (self.seed1 ^ self.seed2) & 0x7FFFFFFF == 0:
             raise DegenerateKeyError(
                 "degenerate key: the generators coincide after one step (equal mu, "
                 "seeds equal but for the top bit) and cancel to an all-zero keystream")
-        if not allow_weak_mu and min(self.mu1, self.mu2) < MU_MIN_STRONG:
+        if allow_weak_mu:
+            return
+        if min(self.mu1, self.mu2) < MU_MIN_STRONG:
             raise WeakMuError(
                 f"weak key: feedback factors must be >= {MU_MIN_STRONG} "
                 f"(mu/256 > 1/2); got mu1={self.mu1}, mu2={self.mu2}")
+        if self.mu1 == self.mu2:
+            raise WeakMuError(
+                f"weak key: equal feedback factors (mu1 = mu2 = {self.mu1}) let both "
+                "orbits fall onto the same few cycles, so the keystream repeats early")
 
     def to_hex(self) -> str:
         return f"{self.seed1:08X}{self.mu1:02X}{self.seed2:08X}{self.mu2:02X}"

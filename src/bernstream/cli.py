@@ -80,7 +80,7 @@ def _add_key_args(sub):
     group.add_argument("--key-file", metavar="PATH",
                        help="file holding the key as a single hex line")
     sub.add_argument("--allow-weak-mu", action="store_true",
-                     help="lift the mu >= 129 strength guard (research use)")
+                     help="lift the weak-key guard: mu >= 129 and mu1 != mu2 (research use)")
 
 
 def _load_key(args):

@@ -72,10 +72,11 @@ _BLOCK = 1 << 14
 
 
 def _fold(w: np.ndarray) -> np.ndarray:
-    """XOR of the four bytes of each uint32 word, as uint8.
+    """XOR of the four bytes of each uint32 word, as uint8; w is overwritten.
 
-    XOR commutes, so fold(wa) ^ fold(wb) == fold(wa ^ wb): one fold of the
-    mixed words gives the eight-section XOR of both generators.
+    XOR commutes, so fold(wa ^ wb) == fold(wa) ^ fold(wb): the scalar loop
+    folds the mixed words of both generators once, and a recorded orbit is
+    folded once on its own and XORed with the other generator's folds.
     """
     w ^= w >> np.uint32(16)
     w ^= w >> np.uint32(8)
@@ -83,14 +84,17 @@ def _fold(w: np.ndarray) -> np.ndarray:
 
 
 class _Orbit:
-    """A generator's orbit recorded from state x.
+    """A generator's orbit recorded from state x, and its folded bytes.
 
     words[i] is the state i + 1 steps after x. From index `tail` on the
     orbit repeats every `period` words, so the table holds tail + period
-    distinct words and serves any length of output by indexing.
+    distinct words. seq holds their folds as uint8: the tail's, then the
+    cycle's, repeated until it covers period + _BLOCK bytes. Every window
+    of at most _BLOCK bytes that starts at or before tail + period is then
+    one contiguous slice of seq, even for periods shorter than a block.
     """
 
-    __slots__ = ("words", "tail", "period", "pos", "x")
+    __slots__ = ("words", "seq", "tail", "period", "pos", "x")
 
     def __init__(self, words: np.ndarray, tail: int, period: int, x: int):
         self.words = words
@@ -98,6 +102,17 @@ class _Orbit:
         self.period = period
         self.pos = 0  # index of the next word to serve
         self.x = x    # the generator state that precedes words[pos]
+        self.seq = np.empty(tail + period + _BLOCK, dtype=np.uint8)
+        # Fold block by block so the uint32 temporaries stay at _BLOCK words.
+        for start in range(0, tail + period, _BLOCK):
+            w = words[start:start + _BLOCK].copy()
+            self.seq[start:start + len(w)] = _fold(w)
+        # Repeat the cycle's folds in place, doubling the copied span each pass.
+        cycle, filled = self.seq[tail:], period
+        while filled < len(cycle):
+            k = min(filled, len(cycle) - filled)
+            cycle[filled:filled + k] = cycle[:k]
+            filled += k
 
     @classmethod
     def record(cls, x: int, mu: int) -> "_Orbit | None":
@@ -106,7 +121,9 @@ class _Orbit:
         The first word of every block is a mark. A later word that equals a
         mark has occurred before, so it lies on the cycle: its last
         earlier occurrence is one period back, and the tail is the first
-        index whose word recurs one period on.
+        index whose word recurs one period on. A block's first word is
+        checked against the earlier marks only, so that periods that are
+        multiples of _BLOCK close too.
         """
         gen = BernoulliGenerator(x, mu)
         blocks, marks = [], []
@@ -114,23 +131,27 @@ class _Orbit:
             block = np.array(gen.iterate(min(_BLOCK, TABLE_CAP - start)), dtype=np.uint32)
             blocks.append(block)
             marks.append(block[0])
-            hits = np.flatnonzero(np.isin(block[1:], marks))
+            repeats = np.isin(block, marks)
+            repeats[0] = block[0] in marks[:-1]
+            hits = np.flatnonzero(repeats)
             if hits.size:
                 words = np.concatenate(blocks)
-                end = start + 1 + int(hits[0])
+                end = start + int(hits[0])
                 period = end - int(np.flatnonzero(words[:end] == words[end])[-1])
                 tail = int(np.argmax(words[:end + 1 - period] == words[period:end + 1]))
                 return cls(words[:tail + period], tail, period, x)
         return None
 
-    def take(self, n: int) -> np.ndarray:
-        """The next n words of the orbit, as a uint32 array."""
-        i = np.arange(self.pos, self.pos + n)
-        i = np.where(i < self.tail, i, self.tail + (i - self.tail) % self.period)
-        out = self.words[i]
-        # pos may reach tail + period, which the next take maps to tail.
-        self.pos = int(i[-1]) + 1
-        self.x = int(out[-1])
+    def serve(self, n: int) -> np.ndarray:
+        """The folds of the next n <= _BLOCK words, as a view of seq."""
+        end = self.pos + n
+        out = self.seq[self.pos:end]
+        last = end - 1
+        if last >= self.tail:
+            last = self.tail + (last - self.tail) % self.period
+        # pos may reach tail + period, where seq still holds a whole block.
+        self.pos = last + 1
+        self.x = int(self.words[last])
         return out
 
 
@@ -168,10 +189,11 @@ class KeystreamGenerator:
         """Produce n keystream bytes, identical to n next_byte() calls.
 
         The first TABLE_THRESHOLD bytes that read() serves come from one
-        inline loop over both orbits. Longer outputs come from each
-        generator's recorded orbit: every orbit of the 32-bit map is
-        eventually periodic, so it is stepped once until it closes and then
-        indexed. Either way the eight-section XOR is folded vectorized, and
+        inline loop over both orbits, folded vectorized. Longer outputs come
+        from each generator's recorded orbit: every orbit of the 32-bit map
+        is eventually periodic, so it is stepped once until it closes and
+        its words are folded once. Each block of up to _BLOCK bytes is then
+        the XOR of one slice of each generator's folded bytes. Either way,
         afterwards both generators hold the state that n steps reach.
         """
         if n < 0:
@@ -187,7 +209,7 @@ class KeystreamGenerator:
             out[:head] = self._read_scalar(head)
         for start in range(head, n, _BLOCK):
             m = min(_BLOCK, n - start)
-            out[start:start + m] = _fold(self._tabled_words(0, m) ^ self._tabled_words(1, m))
+            np.bitwise_xor(self._folded(0, m), self._folded(1, m), out=out[start:start + m])
         return out.tobytes()
 
     def _read_scalar(self, n: int) -> np.ndarray:
@@ -205,22 +227,24 @@ class KeystreamGenerator:
         gen_a.started = gen_b.started = True
         return _fold(np.array(mixed, dtype=np.uint32))
 
-    def _tabled_words(self, k: int, n: int) -> np.ndarray:
-        """Generator k's next n words (k = 0 for gen_a), from its recorded orbit.
+    def _folded(self, k: int, n: int) -> np.ndarray:
+        """Folds of generator k's next n words (k = 0 for gen_a), as uint8.
 
-        The orbit is recorded again whenever the generator's state is not
-        the one the table left it in, e.g. after next_byte() or iterate().
+        They come from the generator's recorded orbit, which is recorded
+        again whenever the generator's state is not the one the table left
+        it in, e.g. after next_byte() or iterate(). An orbit that overran
+        TABLE_CAP is stepped with iterate() and folded here.
         """
         gen = (self.gen_a, self.gen_b)[k]
         orbit = self._orbits[k]
         if orbit is None or (orbit and orbit.x != gen.x):
             orbit = self._orbits[k] = _Orbit.record(gen.x, gen.mu) or False
         if not orbit:
-            return np.array(gen.iterate(n), dtype=np.uint32)
-        words = orbit.take(n)
+            return _fold(np.array(gen.iterate(n), dtype=np.uint32))
+        folded = orbit.serve(n)
         gen.x = orbit.x
         gen.started = True
-        return words
+        return folded
 
 
 def keystream_bytes(key, n: int, allow_weak_mu: bool = False) -> bytes:

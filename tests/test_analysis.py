@@ -9,7 +9,7 @@ from bernstream.analysis import (CYCLE_BLOCK, LANE_THRESHOLD,
                                  bifurcation_sections, byte_section, coverage,
                                  cycle_length, write_bifurcation_csv,
                                  write_bifurcation_sections)
-from bernstream.prng import generalization_factor, max_step_value
+from bernstream.prng import BernoulliGenerator, generalization_factor, max_step_value
 
 from oracles import advance, cycle_visited, orbit_reference, verify_cycle
 
@@ -101,6 +101,32 @@ def test_scan_and_csv_match_oracle(width, x0):
             write_bifurcation_sections(values, mu_min, section, fast)
             write_bifurcation_csv(records, slow)
             assert fast.getvalue() == slow.getvalue()
+
+
+def test_long_runs_are_stepped_in_blocks(monkeypatch):
+    # a narrow scan's transient and coverage's outputs span several blocks,
+    # the last one partial; no single iterate() call exceeds a block
+    sizes = []
+
+    class Counted(BernoulliGenerator):
+        __slots__ = ()
+
+        def iterate(self, n):
+            sizes.append(n)
+            return super().iterate(n)
+
+    monkeypatch.setattr(analysis, "BernoulliGenerator", Counted)
+    transient, samples, x0 = 3 * CYCLE_BLOCK + 5, 9, 0x9E3779B9
+    values = bifurcation_sections(169, 170, x0, transient=transient,
+                                  samples=samples, section=3)
+    assert [(mu, v) for mu, row in enumerate(values.tolist(), 169) for v in row] == \
+        reference_scan(169, 170, x0, transient, samples, 3)
+    n = 2 * CYCLE_BLOCK + 1
+    for section in (1, 4):
+        visited = {byte_section(w, section) for w in orbit_reference(x0, 170, n)}
+        assert coverage(x0, 170, section, n) == len(visited) / 256
+    assert max(sizes) == CYCLE_BLOCK
+    assert sum(sizes) == 2 * (transient + samples) + 2 * n
 
 
 def test_scan_rejects_out_of_range_x0():

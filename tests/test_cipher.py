@@ -78,9 +78,20 @@ class TestParseKey:
 
     def test_boundary_mu(self):
         # 0x81 = 129 is the lowest accepted factor
-        parse_key("00000000810000000181")
+        parse_key("00000000810000000182")
         with pytest.raises(WeakMuError):
             parse_key("00000000800000000181")
+
+    def test_equal_mu_is_weak(self):
+        # both orbits of mu 200 from these seeds close with period 134,498
+        # (tails 39,303 and 26,914), so the keystream repeats that early
+        with pytest.raises(WeakMuError, match="equal feedback factors"):
+            parse_key("12345678C8DEADBEEFC8")
+        key = parse_key("12345678C8DEADBEEFC8", allow_weak_mu=True)
+        period, tail = 134_498, 39_303
+        start = tail - 1  # byte i comes from the states i + 1 steps on
+        ks = keystream_bytes(key, start + 2 * period, allow_weak_mu=True)
+        assert ks[start:start + period] == ks[start + period:]
 
 
 def test_cipher_key_field_ranges():
@@ -246,6 +257,7 @@ def test_generate_key_never_emits_invalid_keys():
     for _ in range(1000):
         key = generate_key()
         key.validate()  # raises on degenerate or weak draws
+        assert key.mu1 != key.mu2
         assert parse_key(key.to_hex()) == key
 
 

@@ -20,25 +20,62 @@ SIM_ORBIT_B = (13_446, 123_877)
 SIM_LONG = 300_000
 
 
-def oracle_bytes(positions):
-    """Keystream bytes at sorted 0-based positions of SIM_KEY's stream, by step_reference."""
-    xa, xb, done, out = SIM_KEY.seed1, SIM_KEY.seed2, 0, []
-    for p in positions:
-        xa = advance(xa, SIM_KEY.mu1, p + 1 - done)
-        xb = advance(xb, SIM_KEY.mu2, p + 1 - done)
-        done = p + 1
-        out.append(xor_parity_byte(split_word_arith(xa) + split_word_arith(xb)))
-    return out
+# Orbits from the seed, as (seed, mu, tail, period), for the chunked-read
+# cases: a period 1 (weak mu), a period 2, and a period below _BLOCK whose
+# tail ends past TABLE_THRESHOLD.
+PERIOD_1 = (3280387012, 0, 1, 1)
+PERIOD_2 = (2829035385, 187, 31301, 2)
+SHORT_PERIOD = (3725226338, 151, 231640, 5736)
 
 
-def scalar_keystream(monkeypatch, n):
-    """First n bytes of SIM_KEY's keystream from one read on the scalar loop."""
+def table_edges(tail, period):
+    """Stream positions where a recorded orbit enters its cycle and first wraps.
+
+    Byte p comes from the state p + 1 steps after the seed, and the orbit
+    is recorded once TABLE_THRESHOLD bytes have been served.
+    """
+    entry = max(tail - 1, TABLE_THRESHOLD)
+    return entry, entry + period
+
+
+def scalar_keystream(monkeypatch, n, key=SIM_KEY):
+    """First n bytes of a key's keystream from one read on the scalar loop."""
     with monkeypatch.context() as m:
         m.setattr(keystream, "TABLE_THRESHOLD", n)
-        gen = KeystreamGenerator.from_key(SIM_KEY)
+        gen = KeystreamGenerator.from_key(key, allow_weak_mu=True)
         out = gen.read(n)
         assert gen._orbits == [None, None]
     return out
+
+
+def assert_chunked_reads_exact(monkeypatch, key, orbits, n):
+    """Read a key's first n bytes in chunks cut at every table boundary.
+
+    The cuts fall at each generator's tail and tail + period from the seed,
+    at its cycle entry and first wrap in its recorded orbit, at multiples
+    of _BLOCK from TABLE_THRESHOLD, and one byte either side of each. The
+    bytes must equal one scalar-path read; after each chunk both
+    generators' states, and the chunk's last byte, must equal the
+    arithmetic oracle's.
+    """
+    block = keystream._BLOCK
+    edges = [TABLE_THRESHOLD + k * block for k in range(4)]
+    for tail, period in orbits:
+        edges += [tail, tail + period, *table_edges(tail, period)]
+    cuts = sorted({e + d for e in edges for d in (-1, 0, 1) if 0 < e + d < n} | {n})
+    want = scalar_keystream(monkeypatch, n, key)
+    gen = KeystreamGenerator.from_key(key, allow_weak_mu=True)
+    xa, xb, got = key.seed1, key.seed2, b""
+    for a, b in zip([0] + cuts, cuts):
+        got += gen.read(b - a)
+        xa, xb = advance(xa, key.mu1, b - a), advance(xb, key.mu2, b - a)
+        assert (gen.gen_a.x, gen.gen_b.x) == (xa, xb)
+        assert gen.gen_a.started and gen.gen_b.started
+        assert got[-1] == xor_parity_byte(split_word_arith(xa) + split_word_arith(xb))
+    for orbit, (tail, period) in zip(gen._orbits, orbits):
+        assert (orbit.tail, orbit.period) == (max(tail - 1 - TABLE_THRESHOLD, 0), period)
+    assert got == want
+    assert keystream_bytes(key, n, allow_weak_mu=True) == want
 
 
 def test_split_half_known_values():
@@ -158,12 +195,20 @@ class TestKeystreamGenerator:
     def test_mixing_read_next_byte_and_iterate_stays_in_lockstep(self):
         gen = KeystreamGenerator.from_key(SIM_KEY)
         head = gen.read(TABLE_THRESHOLD + 1000)
+        recorded = list(gen._orbits)
         mixed = bytes(gen.next_byte() for _ in range(3)) + gen.read(500)
+        # next_byte() moved both generators off their tables: recorded again
+        assert all(new is not old for new, old in zip(gen._orbits, recorded))
+        recorded = list(gen._orbits)
         # iterate() advances the raw generators; the next read picks up there
         gen.gen_a.iterate(7)
         gen.gen_b.iterate(7)
         tail = gen.read(2000)
-        want = keystream_bytes(SIM_KEY, len(head) + 503 + 7 + 2000)
+        assert all(new is not old for new, old in zip(gen._orbits, recorded))
+        recorded = list(gen._orbits)
+        tail += gen.read(3000)
+        assert all(new is old for new, old in zip(gen._orbits, recorded))
+        want = keystream_bytes(SIM_KEY, len(head) + 503 + 7 + 5000)
         assert head + mixed == want[:len(head) + 503]
         assert tail == want[len(head) + 510:]
         n = len(want)
@@ -206,32 +251,65 @@ def test_keystream_bytes_matches_reference():
 
 
 def test_table_path_matches_scalar_across_boundaries(monkeypatch):
-    tail_a, period_a = SIM_ORBIT_A
-    tail_b, period_b = SIM_ORBIT_B
-    cuts = set()
-    for edge in (TABLE_THRESHOLD, tail_a, tail_a + period_a, tail_b, tail_b + period_b):
-        cuts.update((edge - 1, edge, edge + 1))
-    cuts = sorted(cuts) + [SIM_LONG]
-    want = scalar_keystream(monkeypatch, SIM_LONG)
-    gen = KeystreamGenerator.from_key(SIM_KEY)
-    got = b"".join(gen.read(b - a) for a, b in zip([0] + cuts, cuts))
-    assert all(isinstance(o, keystream._Orbit) for o in gen._orbits)
-    assert got == want
-    assert keystream_bytes(SIM_KEY, SIM_LONG) == want
-    spots = sorted(cuts[:-1] + [0, SIM_LONG - 1])
-    assert [got[p] for p in spots] == oracle_bytes(spots)
+    # both periods above _BLOCK; a's tail ends past the threshold
+    assert_chunked_reads_exact(monkeypatch, SIM_KEY, [SIM_ORBIT_A, SIM_ORBIT_B], SIM_LONG)
+
+
+@pytest.mark.parametrize("orbit_a, orbit_b, block", [
+    (PERIOD_1, PERIOD_2, None),
+    (SHORT_PERIOD, PERIOD_2, None),
+    # _BLOCK set to a period
+    (SHORT_PERIOD, PERIOD_1, SHORT_PERIOD[3]),
+    (PERIOD_2, PERIOD_1, 2),
+    (PERIOD_1, PERIOD_2, 1),
+], ids=["periods 1 and 2", "period below block", "period equal to block",
+        "period 2 equal to block", "period 1 equal to block"])
+def test_short_periods_match_scalar_across_boundaries(monkeypatch, orbit_a, orbit_b, block):
+    if block:
+        monkeypatch.setattr(keystream, "_BLOCK", block)
+    key = CipherKey(seed1=orbit_a[0], mu1=orbit_a[1], seed2=orbit_b[0], mu2=orbit_b[1])
+    orbits = [orbit_a[2:], orbit_b[2:]]
+    n = max(table_edges(*o)[1] for o in orbits) + 4 * keystream._BLOCK + 5
+    assert_chunked_reads_exact(monkeypatch, key, orbits, n)
 
 
 @pytest.mark.parametrize("seed, mu", [
     (0x12345678, 100), (0xDEADBEEF, 60), (7, 1), (5, 0),
-    (0x9E3779B9, 140), (0xAAAAAAAA, 170),
+    (0x9E3779B9, 140), (0xAAAAAAAA, 170), PERIOD_1[:2], PERIOD_2[:2],
 ])
 def test_recorded_orbit_matches_oracle(seed, mu):
     orbit = keystream._Orbit.record(seed, mu)
     tail, period = cycle_visited(seed, mu, 1 << 20)
     # the table starts at the first output word, one step after the seed
     assert (orbit.tail, orbit.period) == (max(tail - 1, 0), period)
-    assert orbit.words.tolist() == orbit_reference(seed, mu, orbit.tail + orbit.period)
+    words = orbit_reference(seed, mu, orbit.tail + orbit.period)
+    assert orbit.words.tolist() == words
+    # folded bytes: the tail's, then the cycle's repeated over period + _BLOCK
+    folded = [a ^ b ^ c ^ d for a, b, c, d in map(split_word_arith, words)]
+    cycle = folded[orbit.tail:]
+    assert orbit.seq.tolist() == folded[:orbit.tail] + [
+        cycle[i % period] for i in range(period + keystream._BLOCK)]
+
+
+@pytest.mark.parametrize("blocks_per_period", [1, 2, 3])
+def test_periods_that_are_multiples_of_the_block_close(monkeypatch, blocks_per_period):
+    seed, mu, tail, period = SHORT_PERIOD
+    monkeypatch.setattr(keystream, "_BLOCK", period // blocks_per_period)
+    # from 10 steps before the cycle, the table's tail is 9 words
+    orbit = keystream._Orbit.record(advance(seed, mu, tail - 10), mu)
+    assert (orbit.tail, orbit.period) == (9, period)
+
+
+def test_table_path_from_the_first_byte(monkeypatch):
+    want = keystream_bytes(SIM_KEY, 5000)
+    monkeypatch.setattr(keystream, "TABLE_THRESHOLD", 0)
+    gen = KeystreamGenerator.from_key(SIM_KEY)
+    assert gen.read(1) == want[:1]
+    assert gen.gen_a.started and gen.gen_b.started
+    assert all(isinstance(o, keystream._Orbit) for o in gen._orbits)
+    assert gen.read(4999) == want[1:]
+    assert gen.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, 5000)
+    assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, 5000)
 
 
 def test_orbit_over_the_cap_stays_on_the_scalar_loop(monkeypatch):
@@ -244,6 +322,8 @@ def test_orbit_over_the_cap_stays_on_the_scalar_loop(monkeypatch):
     assert isinstance(gen._orbits[1], keystream._Orbit)
     assert got == want
     assert gen.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, SIM_LONG)
+    assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, SIM_LONG)
+    assert gen.gen_a.started and gen.gen_b.started
 
 
 def test_keystream_bytes_propagates_key_validation():
