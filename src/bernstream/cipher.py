@@ -15,7 +15,7 @@ import secrets
 import string
 from dataclasses import dataclass
 
-from .prng import MU_MAX, WORD_MASK
+from .prng import MU_MAX, WORD_MASK, step
 
 # numpy and the keystream are imported by the functions that use them, so
 # that key handling, and the CLI that imports it, load without numpy.
@@ -67,18 +67,20 @@ class CipherKey:
     def validate(self, allow_weak_mu: bool = False) -> None:
         """Reject keys that cannot produce a usable keystream.
 
-        Identical generators XOR-cancel to an all-zero keystream; that
-        check can never be lifted. A step discards the top bit of the
-        state, so seeds that differ only there give identical generators
-        too. The weak-key guard may be lifted for research use: it requires
-        mu >= 129, a conservative strength floor, and mu1 != mu2, because
-        two orbits of one map tend to fall onto the same few cycles, which
-        gives a keystream of short period.
+        Generators that coincide after one step XOR-cancel to an all-zero
+        keystream; that check can never be lifted. With equal mu it catches
+        seeds that differ only in the top bit, which a step discards, and
+        mu = 0, where a step maps every state to 2**31. The weak-key guard
+        may be lifted for research use: it requires mu >= 129, a
+        conservative strength floor, and mu1 != mu2, because two orbits of
+        one map tend to fall onto the same few cycles, which gives a
+        keystream of short period.
         """
-        if self.mu1 == self.mu2 and (self.seed1 ^ self.seed2) & 0x7FFFFFFF == 0:
+        if self.mu1 == self.mu2 and step(self.seed1, self.mu1) == step(self.seed2, self.mu2):
             raise DegenerateKeyError(
                 "degenerate key: the generators coincide after one step (equal mu, "
-                "seeds equal but for the top bit) and cancel to an all-zero keystream")
+                "seeds that one step maps to the same state) and cancel to an "
+                "all-zero keystream")
         if allow_weak_mu:
             return
         if min(self.mu1, self.mu2) < MU_MIN_STRONG:

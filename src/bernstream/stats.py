@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import erfc, floor, log, sqrt
+from math import erfc, floor, isqrt, log, sqrt
 
 import numpy as np
 
@@ -20,6 +20,10 @@ ALPHA = 0.01
 RECOMMENDED_MIN_BITS = 100
 DEFAULT_BLOCK_SIZE = 128
 MIN_SUITE_BYTES = 13
+# bits per chunk of the cumulative-sums walk (int32, so 256 KiB of scratch)
+_WALK_CHUNK = 1 << 16
+# bytes of float64 or complex128 data per block of either FFT stage
+_FFT_BLOCK_BYTES = 1 << 21
 
 SUITE_TESTS = ("frequency", "block_frequency", "runs",
                "cumulative_sums_forward", "cumulative_sums_reverse", "fft")
@@ -132,11 +136,35 @@ def runs_test(bits) -> TestReport:
     return _report("runs", v_obs, p, {"n": n, "proportion": pi, "runs": v_obs})
 
 
+def _walk(arr: np.ndarray) -> tuple[int, int, int]:
+    """S_n, max S_k and min S_k of the +-1 walk S_k over k = 0..n, S_0 = 0.
+
+    One pass in int32 chunks of _WALK_CHUNK bits; S is carried across
+    chunks as a Python int, so no sum can overflow however long arr is.
+    """
+    total = top = bottom = 0
+    buf = np.empty(min(arr.size, _WALK_CHUNK), dtype=np.int32)
+    for start in range(0, arr.size, _WALK_CHUNK):
+        chunk = arr[start:start + _WALK_CHUNK]
+        walk = buf[:chunk.size]
+        np.multiply(chunk, 2, out=walk, dtype=np.int32)
+        walk -= 1
+        np.cumsum(walk, out=walk)
+        top = max(top, total + int(walk.max()))
+        bottom = min(bottom, total + int(walk.min()))
+        total += int(walk[-1])
+    return total, top, bottom
+
+
 def cusum_test(bits, mode: str = "forward") -> TestReport:
     """Maximal excursion of the +-1 partial-sum walk.
 
     z = max_k |S_k|; in reverse mode the sequence is reversed first. The
-    P-value is the two standard-normal-CDF sums over
+    reversed walk's partial sums are S_n - S_j (j = 0..n-1, S_0 = 0), so
+    both modes come from one int32 pass over the bits that keeps S_n and
+    the largest and smallest S_k, S_0 included: forward z = max(max S,
+    -min S), reverse z = max(S_n - min S, max S - S_n). Memory is one
+    chunk, whatever n. The P-value is the two standard-normal-CDF sums over
     k in [floor((-n/z+1)/4), floor((n/z-1)/4)] and
     k in [floor((-n/z-3)/4), floor((n/z-1)/4)].
     """
@@ -145,10 +173,11 @@ def cusum_test(bits, mode: str = "forward") -> TestReport:
     arr = as_bits(bits)
     n = arr.size
     _warn_short(n, "cumulative sums")
-    steps = arr.astype(np.int64) * 2 - 1
-    if mode == "reverse":
-        steps = steps[::-1]
-    z = int(np.abs(np.cumsum(steps)).max())
+    total, top, bottom = _walk(arr)
+    if mode == "forward":
+        z = max(top, -bottom)
+    else:
+        z = max(total - bottom, top - total)
     sqrt_n = sqrt(n)
     hi = floor((n / z - 1) / 4)
     total1 = sum(normal_cdf((4 * k + 1) * z / sqrt_n)
@@ -162,11 +191,82 @@ def cusum_test(bits, mode: str = "forward") -> TestReport:
                    {"n": n, "mode": mode, "max_excursion": z})
 
 
+def _split(n: int) -> tuple[int, int]:
+    """n = n1 * n2 with n1 the largest divisor of n not above sqrt(n)."""
+    n1 = isqrt(n)
+    while n % n1:
+        n1 -= 1
+    return n1, n // n1
+
+
+def _row_span(k2: int, n1: int, n2: int) -> int:
+    """How many leading entries k1 of spectrum row k2 the spectral test counts.
+
+    Row k2 (0 <= k2 <= n2 // 2) holds X[k] for k = k2 + n2 * k1. Entry k
+    counts when 2k < n, or when 2k > n and 0 < 2 * k2 < n2, where it stands
+    for its mirror |X[n - k]|; the rows above n2 // 2 are never computed.
+    So every k < n/2 counts once: all of an inner row, the k1 < n1/2 of
+    row 0, and the k1 < (n1 - 1)/2 of row n2/2 when n2 is even.
+    """
+    if k2 == 0:
+        return (n1 + 1) // 2
+    if 2 * k2 == n2:
+        return n1 // 2
+    return n1
+
+
+def _twiddle(exponents: np.ndarray, n: int) -> np.ndarray:
+    """W_n ** e = exp(-2 pi i e / n); the spectral test's e stay below n/2."""
+    return np.exp(-2j * np.pi / n * exponents)
+
+
+def _count_below(arr: np.ndarray, n: int, threshold: float) -> int:
+    """Count k < n/2 with |X[k]| < threshold, X the DFT of 2 * arr[:n] - 1.
+
+    A four-step FFT (Bailey 1990): with n = n1 * n2 and the bits viewed
+    as an (n2, n1) grid, real FFTs of length n2 down the columns give the
+    half spectrum rows k2 = 0..n2//2; each row is then multiplied by
+    W_n ** (j1 * k2) and transformed along its length n1, which gives
+    X[k2 + n2 * k1]. Both stages run in blocks of about _FFT_BLOCK_BYTES,
+    and only the stage-1 half spectrum (8 B per bit) stays resident.
+    For n1 = 1 this is one rfft of length n.
+    """
+    n1, n2 = _split(n)
+    rows = n2 // 2 + 1
+    grid = arr[:n].reshape(n2, n1)
+    half = np.empty((rows, n1), dtype=np.complex128)
+    width = max(1, _FFT_BLOCK_BYTES // (8 * n2))
+    for a in range(0, n1, width):
+        # copy the columns first so that the transpose reads from cache
+        columns = np.ascontiguousarray(grid[:, a:a + width])
+        x = np.multiply(columns.T, 2.0, dtype=np.float64, order="C")
+        x -= 1.0
+        half[:, a:a + width] = np.fft.rfft(x, axis=1).T
+    height = max(1, min(rows, _FFT_BLOCK_BYTES // (16 * n1)))
+    j1 = np.arange(n1)
+    table = _twiddle(np.arange(height)[:, None] * j1, n)
+    below = 0
+    for p in range(0, rows, height):
+        block = half[p:p + height]
+        block *= table[:len(block)]
+        if p:
+            block *= _twiddle(p * j1, n)
+        small = np.abs(np.fft.fft(block, axis=1)) < threshold
+        below += int(np.count_nonzero(small))
+        for k2 in {0, n2 // 2}:
+            if p <= k2 < p + len(block):
+                below -= int(np.count_nonzero(small[k2 - p, _row_span(k2, n1, n2):]))
+    return below
+
+
 def fft_test(bits) -> TestReport:
     """Spectral peak count against the 95% threshold T = sqrt(n*ln(1/0.05)).
 
-    Uses the moduli of the first n/2 Fourier coefficients of the +-1
-    sequence; an odd trailing bit is truncated and recorded.
+    Counts the moduli of the first n/2 Fourier coefficients of the +-1
+    sequence that fall below T; an odd trailing bit is truncated and
+    recorded. The transform is a blocked four-step FFT (see _count_below)
+    that never holds a float copy of the whole sequence: its peak is the
+    half spectrum, 8 B per bit, plus a few blocks of _FFT_BLOCK_BYTES.
     """
     arr = as_bits(bits)
     truncated = arr.size % 2
@@ -174,11 +274,9 @@ def fft_test(bits) -> TestReport:
     if n == 0:
         raise ValueError("need at least 2 bits for the spectral test")
     _warn_short(n, "fft")
-    x = arr[:n].astype(np.float64) * 2.0 - 1.0
-    moduli = np.abs(np.fft.rfft(x)[: n // 2])
     threshold = sqrt(n * log(1.0 / 0.05))
     n_expected = 0.95 * n / 2.0
-    n_below = int(np.count_nonzero(moduli < threshold))
+    n_below = _count_below(arr, n, threshold)
     d = (n_below - n_expected) / sqrt(n * 0.95 * 0.05 / 4.0)
     p = erfc(abs(d) / sqrt(2.0))
     params = {"n": n, "threshold": threshold, "below_threshold": n_below,
@@ -193,6 +291,9 @@ def run_suite(data, block_size: int = DEFAULT_BLOCK_SIZE) -> list[TestReport]:
 
     Requires at least 13 bytes (>= 104 bits). If the requested block size
     exceeds the bit length it is clamped so short samples stay testable.
+    Peak memory is about 73 B per input byte: one uint8 per bit, and the
+    spectral test's half spectrum of 8 B per bit; every other test works
+    in place or in fixed-size chunks.
     """
     buf = bytes(data)
     if len(buf) < MIN_SUITE_BYTES:

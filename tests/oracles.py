@@ -2,14 +2,19 @@
 
 Everything here sticks to plain arbitrary-precision arithmetic (//, %,
 *) and avoids the package's bit-twiddling code paths, so a bug cannot
-cancel itself out when implementation and oracle are compared. The only
-package import is step_reference, which is itself the plain-arithmetic
-restatement of the datapath.
+cancel itself out when implementation and oracle are compared. The
+package imports are step_reference, which is itself the plain-arithmetic
+restatement of the datapath, and normal_cdf, which the randomness
+references share with the tests they check and which is checked against
+mpmath on its own.
 """
+
+from math import erfc, floor, log, sqrt
 
 import numpy as np
 
 from bernstream.prng import step_reference
+from bernstream.special import normal_cdf
 
 
 def split_word_arith(word):
@@ -112,3 +117,48 @@ def dft_direct(x):
     j = np.arange(n)
     omega = np.exp(-2j * np.pi * np.outer(j, j) / n)
     return omega @ x
+
+
+def cusum_reference(bits, mode):
+    """Cumulative-sums test from one int64 cumsum of the whole walk.
+
+    The reverse mode reverses a copy of the steps first. Returns
+    (statistic, p_value, params) as cusum_test reports them.
+    """
+    arr = np.asarray(bits, dtype=np.uint8)
+    n = arr.size
+    steps = arr.astype(np.int64) * 2 - 1
+    if mode == "reverse":
+        steps = steps[::-1]
+    z = int(np.abs(np.cumsum(steps)).max())
+    sqrt_n = sqrt(n)
+    hi = floor((n / z - 1) / 4)
+    total1 = sum(normal_cdf((4 * k + 1) * z / sqrt_n)
+                 - normal_cdf((4 * k - 1) * z / sqrt_n)
+                 for k in range(floor((-n / z + 1) / 4), hi + 1))
+    total2 = sum(normal_cdf((4 * k + 3) * z / sqrt_n)
+                 - normal_cdf((4 * k + 1) * z / sqrt_n)
+                 for k in range(floor((-n / z - 3) / 4), hi + 1))
+    return z, 1.0 - total1 + total2, {"n": n, "mode": mode, "max_excursion": z}
+
+
+def spectral_reference(bits):
+    """Spectral test from one rfft over the whole +-1 sequence.
+
+    An odd trailing bit is dropped. Returns (statistic, p_value, params)
+    as fft_test reports them.
+    """
+    arr = np.asarray(bits, dtype=np.uint8)
+    truncated = arr.size % 2
+    n = arr.size - truncated
+    x = arr[:n].astype(np.float64) * 2.0 - 1.0
+    moduli = np.abs(np.fft.rfft(x)[: n // 2])
+    threshold = sqrt(n * log(1.0 / 0.05))
+    n_expected = 0.95 * n / 2.0
+    n_below = int(np.count_nonzero(moduli < threshold))
+    d = (n_below - n_expected) / sqrt(n * 0.95 * 0.05 / 4.0)
+    params = {"n": n, "threshold": threshold, "below_threshold": n_below,
+              "expected_below": n_expected}
+    if truncated:
+        params["truncated_bits"] = 1
+    return d, erfc(abs(d) / sqrt(2.0)), params

@@ -73,6 +73,28 @@ class TestParseKey:
         # the top bit matters once the factors differ
         parse_key("12345678C892345678C9")
 
+    @pytest.mark.parametrize("text", ["00000000000000000100", "12345678000000000100"])
+    def test_mu_zero_twice_is_degenerate(self, text):
+        # a mu-0 step maps every state to 2**31, so two mu-0 generators
+        # coincide after one step whatever their seeds
+        key = CipherKey(seed1=int(text[:8], 16), mu1=0, seed2=int(text[10:18], 16), mu2=0)
+        unchecked = KeystreamGenerator(BernoulliGenerator(key.seed1, key.mu1),
+                                       BernoulliGenerator(key.seed2, key.mu2))
+        assert unchecked.read(4096) == bytes(4096)
+        for allow in (False, True):
+            with pytest.raises(DegenerateKeyError, match="degenerate"):
+                parse_key(text, allow_weak_mu=allow)
+            with pytest.raises(DegenerateKeyError, match="degenerate"):
+                encrypt_bytes(key, b"plaintext", allow_weak_mu=allow)
+        # one mu-0 generator is only weak
+        parse_key(text[:18] + "81", allow_weak_mu=True)
+
+    def test_close_seeds_under_a_small_equal_mu_are_degenerate(self):
+        # below mu 128 a step maps neighbouring states together: under mu 1
+        # both 0 and 1 step to 2**23 * 255
+        with pytest.raises(DegenerateKeyError, match="degenerate"):
+            parse_key("00000000010000000101", allow_weak_mu=True)
+
     def test_round_trip_through_hex(self):
         assert parse_key(GOOD_KEY.to_hex()) == GOOD_KEY
 
@@ -262,7 +284,8 @@ def test_generate_key_never_emits_invalid_keys():
 
 
 seeds = st.integers(0, 2**32 - 1)
-factors = st.integers(0, 255)
+# mu 0 maps every state to 2**31, so it is drawn on its own as well
+factors = st.just(0) | st.integers(0, 255)
 
 
 @st.composite
@@ -274,10 +297,11 @@ def keys_near_the_degenerate_class(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(keys_near_the_degenerate_class())
-def test_every_accepted_key_gives_a_nonzero_keystream(key):
+@given(keys_near_the_degenerate_class(), st.booleans())
+def test_every_accepted_key_gives_a_nonzero_keystream(key, allow_weak_mu):
     try:
-        accepted = parse_key(key.to_hex())
+        accepted = parse_key(key.to_hex(), allow_weak_mu=allow_weak_mu)
     except DegenerateKeyError:
         return
-    assert keystream_bytes(accepted, 4096) != bytes(4096)
+    ks = keystream_bytes(accepted, 4096, allow_weak_mu=allow_weak_mu)
+    assert ks != bytes(4096)

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -13,6 +14,17 @@ from bernstream.cli import EXIT_BAD_KEY, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from oracles import keystream_reference, orbit_reference
 
 SIM_KEY_HEX = "AAAAAAAAAABBBBBBBBBB"
+
+# Runs argv[1:] and prints its exit code and ru_maxrss (KiB on Linux). The
+# command starts from this fresh, small interpreter because a child started
+# by vfork carries its parent's high-water RSS into its own ru_maxrss, and
+# the test process can be far larger than the command measured.
+PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
 # frozen from the arithmetic oracle (keystream_reference, checked below)
 KS16 = bytes([112, 65, 161, 173, 227, 113, 95, 194,
               204, 103, 248, 176, 174, 30, 11, 74])
@@ -201,6 +213,18 @@ class TestTestCommand:
             input=passing_sample.read_bytes(), stdout=subprocess.PIPE)
         assert proc.returncode == 0
         assert len(json.loads(proc.stdout)) == 6
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+    def test_peak_memory_on_a_1_mib_keystream(self, tmp_path):
+        path = tmp_path / "ks.bin"
+        path.write_bytes(keystream_bytes(parse_key(SIM_KEY_HEX), 1 << 20))
+        done = subprocess.run([sys.executable, "-c", PEAK_RSS_LAUNCHER, sys.executable,
+                               "-m", "bernstream", "test", "--in", str(path)],
+                              capture_output=True, text=True, check=True)
+        code, maxrss_kib = map(int, done.stdout.split())
+        assert code == EXIT_OK
+        # 8.4e6 bits: the 8 B-per-bit half spectrum is 64 MiB of the peak
+        assert maxrss_kib / 1024 < 180
 
     def test_tiny_input_is_a_usage_error(self, tmp_path, capsys):
         small = tmp_path / "small.bin"

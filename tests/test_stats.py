@@ -1,14 +1,18 @@
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bernstream import stats
 from bernstream.stats import (ALPHA, as_bits, bits_from_bytes,
                               block_frequency_test, cusum_test, fft_test,
                               frequency_test, run_suite, runs_test)
 
-from oracles import dft_direct
+from oracles import cusum_reference, dft_direct, spectral_reference
 
 
 def _quiet(func, *args, **kwargs):
@@ -193,7 +197,142 @@ class TestFft:
         assert report.params["truncated_bits"] == 1
 
 
+def _bits(n, p=0.5, seed=0):
+    rng = np.random.default_rng([n, int(p * 100), seed])
+    return (rng.random(n) < p).astype(np.uint8)
+
+
+def _spectral_oracle(bits):
+    return stats._report("fft", *spectral_reference(bits))
+
+
+def _cusum_oracle(bits, mode):
+    return stats._report(f"cumulative_sums_{mode}", *cusum_reference(bits, mode))
+
+
+def oracle_suite(data, block_size=stats.DEFAULT_BLOCK_SIZE):
+    """run_suite with the whole-sequence cumsum and rfft pipelines."""
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    return [frequency_test(bits), block_frequency_test(bits, min(block_size, bits.size)),
+            runs_test(bits), _cusum_oracle(bits, "forward"), _cusum_oracle(bits, "reverse"),
+            _spectral_oracle(bits)]
+
+
+class TestBlockedSpectrum:
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 104, 130, 2 * 10007]
+                             + [2 ** k for k in range(1, 21)] + [10 ** 6])
+    def test_matches_the_rfft_pipeline(self, n):
+        bits = _bits(n)
+        assert _quiet(fft_test, bits) == _spectral_oracle(bits)
+
+    @pytest.mark.parametrize("n", [3, 105, 1001, 2 ** 16 + 1])
+    def test_odd_lengths_truncate_like_the_rfft_pipeline(self, n):
+        bits = _bits(n)
+        report = _quiet(fft_test, bits)
+        assert report.params["truncated_bits"] == 1
+        assert report == _spectral_oracle(bits)
+
+    @pytest.mark.parametrize("p", [0.1, 0.9])
+    @pytest.mark.parametrize("n", [130, 2 * 10007, 2 ** 16, 10 ** 6])
+    def test_biased_bits_match_the_rfft_pipeline(self, n, p):
+        bits = _bits(n, p)
+        assert fft_test(bits) == _spectral_oracle(bits)
+
+    @pytest.mark.parametrize("block_bytes", [16, 1000, 40000])
+    @pytest.mark.parametrize("n", [104, 130, 4096, 2 * 10007, 30030])
+    def test_small_blocks_match_the_rfft_pipeline(self, n, block_bytes):
+        # one column and one row per block at 16 bytes; ragged last blocks above
+        bits = _bits(n, seed=block_bytes)
+        with mock.patch.object(stats, "_FFT_BLOCK_BYTES", block_bytes):
+            assert fft_test(bits) == _spectral_oracle(bits)
+
+    @pytest.mark.parametrize("n", [2, 6, 8, 104, 130, 210, 1000, 2048])
+    def test_count_matches_the_direct_dft(self, n):
+        bits = _bits(n, seed=1)
+        moduli = np.abs(dft_direct(bits * 2.0 - 1.0)[: n // 2])
+        threshold = np.sqrt(n * np.log(1 / 0.05))
+        report = _quiet(fft_test, bits)
+        assert report.params["below_threshold"] == int(np.count_nonzero(moduli < threshold))
+
+    @pytest.mark.parametrize("n, split", [(2, (1, 2)), (8, (2, 4)), (104, (8, 13)),
+                                          (2 * 10007, (2, 10007)), (10 ** 6, (1000, 1000)),
+                                          (2 ** 25, (4096, 8192))])
+    def test_split_takes_the_divisor_nearest_below_the_root(self, n, split):
+        assert stats._split(n) == split
+
+    @pytest.mark.parametrize("n1, n2", [(2, 3), (4, 5), (6, 9), (8, 13), (2, 10007),
+                                        (1, 2), (3, 4), (5, 6), (4, 8), (7, 10)])
+    def test_mirror_rule_counts_every_coefficient_once(self, n1, n2):
+        # n2 odd in the first five pairs, even in the rest
+        n = n1 * n2
+        stands_for = []
+        for k2 in range(n2 // 2 + 1):
+            span = stats._row_span(k2, n1, n2)
+            for k1 in range(n1):
+                k = k2 + n2 * k1
+                rule = 2 * k < n or (2 * k > n and 0 < 2 * k2 < n2)
+                assert (k1 < span) == rule, (k2, k1)
+                if rule:
+                    stands_for.append(k if 2 * k < n else n - k)
+        assert sorted(stands_for) == list(range(n // 2))
+
+
+WALKS = {
+    "min at S_1": "0" + "1" * 99,
+    "max at S_1": "1" + "0" * 99,
+    "max at S_n": "01" * 20 + "1" * 60,
+    "min at S_n": "10" * 20 + "0" * 60,
+    "all zeros": "0" * 100,
+    "all ones": "1" * 100,
+    "alternating": "01" * 50,
+    "alternating from one": "10" * 50,
+    "peak inside": "1" * 30 + "0" * 70,
+    "trough inside": "0" * 70 + "1" * 30,
+}
+
+
+class TestChunkedWalk:
+
+    @pytest.mark.parametrize("mode", ["forward", "reverse"])
+    @pytest.mark.parametrize("name", sorted(WALKS))
+    def test_matches_the_int64_cumsum(self, name, mode):
+        bits = as_bits(WALKS[name])
+        assert cusum_test(bits, mode) == _cusum_oracle(bits, mode)
+
+    @pytest.mark.parametrize("mode", ["forward", "reverse"])
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 8, 9])
+    def test_walks_across_chunk_boundaries(self, chunk, mode):
+        # extremes on the last and the first bit of a chunk, and in between
+        walks = list(WALKS.values()) + ["1" * 8 + "0" * 20, "1" * 9 + "0" * 20,
+                                        "0" * 16 + "1" * 40, "0" * 17 + "1" * 40]
+        walks += ["".join(map(str, _bits(n, seed=chunk))) for n in (1, 2, 3, 50, 257)]
+        with mock.patch.object(stats, "_WALK_CHUNK", chunk):
+            for walk in walks:
+                bits = as_bits(walk)
+                assert _quiet(cusum_test, bits, mode) == _cusum_oracle(bits, mode), walk
+
+    def test_extremes_of_a_long_walk(self):
+        bits = _bits(3 * stats._WALK_CHUNK + 5, seed=2)
+        bits[: stats._WALK_CHUNK] = 1  # the maximum sits at a chunk boundary
+        for mode in ("forward", "reverse"):
+            assert cusum_test(bits, mode) == _cusum_oracle(bits, mode)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=400), st.integers(1, 64))
+    def test_random_walks_match_the_int64_cumsum(self, walk, chunk):
+        bits = np.array(walk, dtype=np.uint8)
+        with mock.patch.object(stats, "_WALK_CHUNK", chunk):
+            for mode in ("forward", "reverse"):
+                assert _quiet(cusum_test, bits, mode) == _cusum_oracle(bits, mode)
+
+
 class TestRunSuite:
+
+    @pytest.mark.parametrize("size", [13, 14, 100, 1000, 20000, 1 << 20])
+    def test_matches_the_oracle_suite(self, size):
+        data = random.Random(size).randbytes(size)
+        assert _quiet(run_suite, data) == _quiet(oracle_suite, data)
 
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
