@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .prng import BernoulliGenerator, _check_mu, _check_word
+from .prng import BernoulliGenerator, _check_mu, _check_word, find_cycle
 
 DEFAULT_TRANSIENT = 1000
 DEFAULT_SAMPLES = 200
@@ -164,16 +164,13 @@ def cycle_length(seed: int, mu: int,
                  max_steps: int = DEFAULT_MAX_STEPS) -> CycleResult:
     """Tail and minimal period of the orbit from `seed`, in a single pass.
 
-    Let x_0 = seed and x_i be the state i steps on. The orbit is stepped
-    with BernoulliGenerator.iterate in blocks of CYCLE_BLOCK words, and
-    the state at each block start is kept as a mark. The first word x_e
-    that equals a mark or an earlier word of its own block closes the
-    search: its earlier occurrence x_o lies on the cycle and recurs for
-    the first time at e, so the minimal period is e - o. The last mark s
-    before o is off the cycle, or it would have recurred before e; so the
-    tail is the first t in (s, o] with x_t == x_{t + period}. The words
-    after s come from the last two blocks when they hold them, and
-    otherwise from a replay of o - s words from that mark.
+    prng.find_cycle steps the orbit in blocks of CYCLE_BLOCK words and
+    keeps the state at each block start as a mark; the first word that
+    equals a mark, or an earlier word of its own block, gives the minimal
+    period, and the tail lies within one block after the last mark off
+    the cycle. Only the marks and the last two blocks are kept, so the
+    words after that mark are replayed from it when those blocks do not
+    hold them.
 
     Memory grows with max_steps / CYCLE_BLOCK, the number of marks. Every
     map evaluation counts against `max_steps`: whole blocks (the last one
@@ -184,44 +181,7 @@ def cycle_length(seed: int, mu: int,
     _check_mu(mu)
     if max_steps < 1:
         raise ValueError(f"step budget must be >= 1: {max_steps!r}")
-    block_len = CYCLE_BLOCK
-    gen = BernoulliGenerator(seed, mu)
-    marks = {seed: 0}  # state -> index, in index order
-    prev, steps = [], 0
-    while steps < max_steps:
-        base = steps  # block holds x_{base+1} .. x_{steps}
-        block = gen.iterate(min(block_len, max_steps - steps))
-        steps += len(block)
-        seen = set(block)
-        if len(seen) == len(block) and marks.keys().isdisjoint(seen):
-            marks[block[-1]] = steps
-            prev = block
-            continue
-        first = {}
-        for e, x in enumerate(block, base + 1):
-            o = marks.get(x, first.get(x))
-            if o is not None:
-                break
-            first[x] = e
-        period = e - o
-        if o == 0:
-            return CycleResult(0, period, steps)
-        s = (o - 1) // block_len * block_len
-        n = o - s
-        recent = prev + block  # x_{lo+1} .. x_{steps}
-        lo = base - len(prev)
-        later = recent[e - n - lo:e - lo]
-        if s >= lo:
-            earlier = recent[s - lo:o - lo]
-        elif steps + n > max_steps:
-            break
-        else:
-            mark = list(marks)[s // block_len]
-            earlier = BernoulliGenerator(mark, mu).iterate(n)
-            steps += n
-        i = next(i for i, (a, b) in enumerate(zip(earlier, later)) if a == b)
-        return CycleResult(s + 1 + i, period, steps)
-    return CycleResult(None, None, steps)
+    return CycleResult(*find_cycle(seed, mu, max_steps, CYCLE_BLOCK))
 
 
 def write_bifurcation_csv(records, stream) -> None:

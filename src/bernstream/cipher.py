@@ -11,14 +11,11 @@ messages leaks the XOR of the plaintexts. Treat every key as single-use.
 
 from __future__ import annotations
 
-import secrets
 import string
 from dataclasses import dataclass
 
+from .keystream import KeystreamGenerator, _xor_bytes
 from .prng import MU_MAX, WORD_MASK, step
-
-# numpy and the keystream are imported by the functions that use them, so
-# that key handling, and the CLI that imports it, load without numpy.
 
 # mu/256 > 1/2 keeps the map expansive; below that orbits contract onto
 # short cycles and the keystream degrades.
@@ -117,6 +114,8 @@ def parse_key(text: str, allow_weak_mu: bool = False) -> CipherKey:
 
 def generate_key() -> CipherKey:
     """Draw a key from OS randomness, re-drawing until validation passes."""
+    import secrets  # here, not at module level: only keygen needs it
+
     while True:
         raw = secrets.token_bytes(10)
         key = CipherKey(seed1=int.from_bytes(raw[0:4], "big"), mu1=raw[4],
@@ -126,16 +125,6 @@ def generate_key() -> CipherKey:
         except DegenerateKeyError:
             continue
         return key
-
-
-def _xor_bytes(data: bytes, ks: bytes) -> bytes:
-    if not data:
-        return b""
-    import numpy as np
-
-    a = np.frombuffer(data, dtype=np.uint8)
-    b = np.frombuffer(ks, dtype=np.uint8)
-    return (a ^ b).tobytes()
 
 
 def _write_all(dst, data: bytes, offset: int) -> None:
@@ -160,8 +149,6 @@ def _write_all(dst, data: bytes, offset: int) -> None:
 
 def encrypt_bytes(key: CipherKey, data: bytes, allow_weak_mu: bool = False) -> bytes:
     """XOR data with the key's keystream. Output length equals input length."""
-    from .keystream import KeystreamGenerator
-
     gen = KeystreamGenerator.from_key(key, allow_weak_mu=allow_weak_mu)
     return _xor_bytes(data, gen.read(len(data)))
 
@@ -176,8 +163,6 @@ def encrypt_stream(key: CipherKey, src, dst, allow_weak_mu: bool = False,
     calls. I/O failures are re-raised as CipherIOError carrying the
     stream position.
     """
-    from .keystream import KeystreamGenerator
-
     if chunk_size < 1:
         raise ValueError(f"chunk size must be >= 1: {chunk_size!r}")
     gen = KeystreamGenerator.from_key(key, allow_weak_mu=allow_weak_mu)

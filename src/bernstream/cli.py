@@ -14,13 +14,15 @@ import os
 import sys
 from contextlib import contextmanager
 
-# Nothing imported here may import numpy, so that `cycle` starts without
-# it; the commands that need keystream or stats import them when they run.
+# Nothing imported here may import numpy, so that keygen, keystream,
+# encrypt, decrypt and cycle run without it; `test` and `bifurcate` load
+# it when they run.
 from .analysis import (DEFAULT_MAX_STEPS, DEFAULT_SAMPLES, DEFAULT_TRANSIENT,
                        bifurcation_sections, cycle_length,
                        write_bifurcation_sections)
 from .cipher import (DEFAULT_CHUNK_SIZE, DegenerateKeyError, KeyFormatError,
                      encrypt_stream, generate_key, parse_key)
+from .keystream import KeystreamGenerator
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -163,8 +165,6 @@ def cmd_keygen(args) -> int:
 def cmd_keystream(args) -> int:
     if args.bytes < 0:
         raise ValueError("--bytes must be >= 0")
-    from .keystream import KeystreamGenerator
-
     key = _load_key(args)
     gen = KeystreamGenerator.from_key(key, allow_weak_mu=args.allow_weak_mu)
     with _binary_out(args.out) as dst:

@@ -8,11 +8,10 @@ software equivalent of a 56-gate XOR array, 7 gates per output bit.
 
 from __future__ import annotations
 
+from array import array
 from typing import NamedTuple
 
-import numpy as np
-
-from .prng import BernoulliGenerator
+from .prng import BernoulliGenerator, find_cycle
 
 
 class ByteQuad(NamedTuple):
@@ -59,91 +58,93 @@ def combine(a: ByteQuad, b: ByteQuad) -> int:
     return a.b3 ^ a.b2 ^ a.b1 ^ a.b0 ^ b.b3 ^ b.b2 ^ b.b1 ^ b.b0
 
 
-# read() serves the first TABLE_THRESHOLD bytes of a stream from the
-# scalar orbit loop and the rest from each generator's recorded orbit:
-# below the threshold, recording costs more than it saves.
+# read() steps both generators with iterate() until a read reaches
+# TABLE_THRESHOLD bytes in all; from that read on, it serves each
+# generator from its recorded orbit. Below the threshold, recording costs
+# more than it saves.
 TABLE_THRESHOLD = 64 * 1024
 # Longest orbit, tail plus period in words, that is recorded. Strong orbits
 # close within about 3e5 words; weak-mu orbits are not bounded in principle,
-# so one that has not closed by the cap stays on the scalar loop.
+# so one that has not closed by the cap stays on iterate().
 TABLE_CAP = 1 << 20
-# Words recorded, and words served, per numpy block; bounds transient memory.
+# Words recorded, folded and served per block. It bounds transient memory,
+# and keeps each big int of _fold and _xor_bytes small enough to stay in
+# cache: folding 2^20 words at once costs twice as much per word.
 _BLOCK = 1 << 14
 
 
-def _fold(w: np.ndarray) -> np.ndarray:
-    """XOR of the four bytes of each uint32 word, as uint8; w is overwritten.
+def _fold(*arrays: array) -> bytes:
+    """XOR of the four bytes of each word, one byte per word position.
 
-    XOR commutes, so fold(wa ^ wb) == fold(wa) ^ fold(wb): the scalar loop
-    folds the mixed words of both generators once, and a recorded orbit is
-    folded once on its own and XORed with the other generator's folds.
+    Each argument is an array('I'), all of one length; given two, byte i
+    is the XOR of the eight bytes at position i of both.
+
+    The arrays are read as little-endian big ints and XORed into one, m.
+    After m ^= m >> 16 and m ^= m >> 8, byte 4i of m is the XOR of word
+    i's four bytes. Bits that the shifts carry across a word boundary
+    land only in bytes 4i + 1 .. 4i + 3, which [::4] drops, so no mask is
+    needed; and the XOR of a word's bytes does not depend on their order
+    in memory.
+
+    XOR commutes, so fold(wa ^ wb) == fold(wa) ^ fold(wb): a short read
+    folds both generators' words at once, and a recorded orbit is folded
+    on its own and XORed with the other generator's folds.
     """
-    w ^= w >> np.uint32(16)
-    w ^= w >> np.uint32(8)
-    return w.astype(np.uint8)
+    m = 0
+    for words in arrays:
+        m ^= int.from_bytes(words, "little")
+    m ^= m >> 16
+    m ^= m >> 8
+    return m.to_bytes(4 * len(words), "little")[::4]
+
+
+def _xor_bytes(a, b) -> bytes:
+    """Bytewise XOR of two bytes-like objects of equal length, as bytes."""
+    n = len(a)
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(n, "little")
 
 
 class _Orbit:
     """A generator's orbit recorded from state x, and its folded bytes.
 
     words[i] is the state i + 1 steps after x. From index `tail` on the
-    orbit repeats every `period` words, so the table holds tail + period
-    distinct words. seq holds their folds as uint8: the tail's, then the
-    cycle's, repeated until it covers period + _BLOCK bytes. Every window
-    of at most _BLOCK bytes that starts at or before tail + period is then
-    one contiguous slice of seq, even for periods shorter than a block.
+    orbit repeats every `period` words, so the array holds tail + period
+    distinct words. seq holds their folds: the tail's, then the cycle's,
+    repeated until they cover period + _BLOCK bytes. Every window of at
+    most _BLOCK bytes that starts at or before tail + period is then one
+    slice of seq, even for periods shorter than a block.
     """
 
     __slots__ = ("words", "seq", "tail", "period", "pos", "x")
 
-    def __init__(self, words: np.ndarray, tail: int, period: int, x: int):
+    def __init__(self, words: array, tail: int, period: int, x: int):
         self.words = words
         self.tail = tail
         self.period = period
         self.pos = 0  # index of the next word to serve
         self.x = x    # the generator state that precedes words[pos]
-        self.seq = np.empty(tail + period + _BLOCK, dtype=np.uint8)
-        # Fold block by block so the uint32 temporaries stay at _BLOCK words.
-        for start in range(0, tail + period, _BLOCK):
-            w = words[start:start + _BLOCK].copy()
-            self.seq[start:start + len(w)] = _fold(w)
-        # Repeat the cycle's folds in place, doubling the copied span each pass.
-        cycle, filled = self.seq[tail:], period
-        while filled < len(cycle):
-            k = min(filled, len(cycle) - filled)
-            cycle[filled:filled + k] = cycle[:k]
-            filled += k
+        folded = b"".join([_fold(words[i:i + _BLOCK]) for i in range(0, tail + period, _BLOCK)])
+        cycle = folded[tail:]
+        self.seq = folded[:tail] + (cycle * -(-(period + _BLOCK) // period))[:period + _BLOCK]
 
     @classmethod
     def record(cls, x: int, mu: int) -> "_Orbit | None":
         """Step from x until a word repeats; None if TABLE_CAP words do not close.
 
-        The first word of every block is a mark. A later word that equals a
-        mark has occurred before, so it lies on the cycle: its last
-        earlier occurrence is one period back, and the tail is the first
-        index whose word recurs one period on. A block's first word is
-        checked against the earlier marks only, so that periods that are
-        multiples of _BLOCK close too.
+        prng.find_cycle keeps every word it steps, in blocks of _BLOCK, and
+        places tail and period from x. words[0] is one step after x, so the
+        table's tail is one word shorter, unless x lies on the cycle.
         """
-        gen = BernoulliGenerator(x, mu)
-        blocks, marks = [], []
-        for start in range(0, TABLE_CAP, _BLOCK):
-            block = np.array(gen.iterate(min(_BLOCK, TABLE_CAP - start)), dtype=np.uint32)
-            blocks.append(block)
-            marks.append(block[0])
-            repeats = np.isin(block, marks)
-            repeats[0] = block[0] in marks[:-1]
-            hits = np.flatnonzero(repeats)
-            if hits.size:
-                words = np.concatenate(blocks)
-                end = start + int(hits[0])
-                period = end - int(np.flatnonzero(words[:end] == words[end])[-1])
-                tail = int(np.argmax(words[:end + 1 - period] == words[period:end + 1]))
-                return cls(words[:tail + period], tail, period, x)
-        return None
+        words = array("I")
+        tail, period, _ = find_cycle(x, mu, TABLE_CAP, _BLOCK, words)
+        if period is None:
+            return None
+        tail = max(tail - 1, 0)
+        del words[tail + period:]
+        return cls(words, tail, period, x)
 
-    def serve(self, n: int) -> np.ndarray:
-        """The folds of the next n <= _BLOCK words, as a view of seq."""
+    def serve(self, n: int) -> bytes:
+        """The folds of the next n <= _BLOCK words."""
         end = self.pos + n
         out = self.seq[self.pos:end]
         last = end - 1
@@ -151,7 +152,7 @@ class _Orbit:
             last = self.tail + (last - self.tail) % self.period
         # pos may reach tail + period, where seq still holds a whole block.
         self.pos = last + 1
-        self.x = int(self.words[last])
+        self.x = self.words[last]
         return out
 
 
@@ -188,10 +189,12 @@ class KeystreamGenerator:
     def read(self, n: int) -> bytes:
         """Produce n keystream bytes, identical to n next_byte() calls.
 
-        The first TABLE_THRESHOLD bytes that read() serves come from one
-        inline loop over both orbits, folded vectorized. Longer outputs come
-        from each generator's recorded orbit: every orbit of the 32-bit map
-        is eventually periodic, so it is stepped once until it closes and
+        While the bytes that read() has served stay below TABLE_THRESHOLD,
+        they come from one iterate() call per generator, and one fold of
+        both generators' words. From the read that reaches the
+        threshold on, they come from each generator's recorded orbit:
+        every orbit of the 32-bit map is eventually periodic, so it is
+        stepped once, from that read's first word, until it closes, and
         its words are folded once. Each block of up to _BLOCK bytes is then
         the XOR of one slice of each generator's folded bytes. Either way,
         afterwards both generators hold the state that n steps reach.
@@ -200,35 +203,18 @@ class KeystreamGenerator:
             raise ValueError(f"byte count must be >= 0: {n!r}")
         if n == 0:
             return b""
-        head = min(n, max(TABLE_THRESHOLD - self._served, 0))
         self._served += n
-        if head == n:
-            return self._read_scalar(n).tobytes()
-        out = np.empty(n, dtype=np.uint8)
-        if head:
-            out[:head] = self._read_scalar(head)
-        for start in range(head, n, _BLOCK):
+        if self._served < TABLE_THRESHOLD:
+            return _fold(array("I", self.gen_a.iterate(n)),
+                         array("I", self.gen_b.iterate(n)))
+        pieces = []
+        for start in range(0, n, _BLOCK):
             m = min(_BLOCK, n - start)
-            np.bitwise_xor(self._folded(0, m), self._folded(1, m), out=out[start:start + m])
-        return out.tobytes()
+            pieces.append(_xor_bytes(self._folded(0, m), self._folded(1, m)))
+        return b"".join(pieces)
 
-    def _read_scalar(self, n: int) -> np.ndarray:
-        gen_a, gen_b = self.gen_a, self.gen_b
-        xa, ma = gen_a.x, gen_a.mu
-        xb, mb = gen_b.x, gen_b.mu
-        ka = (256 - ma) << 23
-        kb = (256 - mb) << 23
-        mixed = [0] * n
-        for i in range(n):
-            xa = ((xa & 0x7FFFFFFF) * ma >> 7) + ka
-            xb = ((xb & 0x7FFFFFFF) * mb >> 7) + kb
-            mixed[i] = xa ^ xb
-        gen_a.x, gen_b.x = xa, xb
-        gen_a.started = gen_b.started = True
-        return _fold(np.array(mixed, dtype=np.uint32))
-
-    def _folded(self, k: int, n: int) -> np.ndarray:
-        """Folds of generator k's next n words (k = 0 for gen_a), as uint8.
+    def _folded(self, k: int, n: int) -> bytes:
+        """Folds of generator k's next n words (k = 0 for gen_a).
 
         They come from the generator's recorded orbit, which is recorded
         again whenever the generator's state is not the one the table left
@@ -240,7 +226,7 @@ class KeystreamGenerator:
         if orbit is None or (orbit and orbit.x != gen.x):
             orbit = self._orbits[k] = _Orbit.record(gen.x, gen.mu) or False
         if not orbit:
-            return _fold(np.array(gen.iterate(n), dtype=np.uint32))
+            return _fold(array("I", gen.iterate(n)))
         folded = orbit.serve(n)
         gen.x = orbit.x
         gen.started = True

@@ -12,6 +12,8 @@ multiplier.
 
 from __future__ import annotations
 
+from array import array
+
 WORD_BITS = 32
 WORD_MASK = (1 << WORD_BITS) - 1
 MU_MAX = 255
@@ -126,3 +128,70 @@ class BernoulliGenerator:
         self.x = x
         self.started = True
         return out
+
+
+def find_cycle(x: int, mu: int, max_steps: int, block: int,
+               words: array | None = None) -> tuple[int | None, int | None, int]:
+    """Tail and minimal period of the orbit from x, in a single pass, and
+    the number of steps taken: (tail, period, steps).
+
+    Let x_0 = x and x_i be the state i steps on. The orbit is stepped
+    with BernoulliGenerator.iterate in blocks of `block` words, and the
+    state at each block start is kept as a mark. The first word x_e that
+    equals a mark or an earlier word of its own block closes the search:
+    its earlier occurrence x_o lies on the cycle and recurs for the first
+    time at e, so the minimal period is e - o. The last mark s before o
+    is off the cycle, or it would have recurred before e; so the tail is
+    the first t in (s, o] with x_t == x_{t + period}.
+
+    With `words`, every stepped word x_1, x_2, ... is appended to it, and
+    the tail is placed from those. Without, only the marks and the last
+    two blocks are kept; when those do not hold the words after s, they
+    are replayed from that mark, o - s steps that count against the
+    budget. Memory then grows with max_steps / block, the number of marks.
+
+    Every map evaluation counts against `max_steps`, so steps <=
+    max_steps, and steps exceeds tail + period by less than three blocks.
+    When the budget runs out first, tail and period are None.
+    """
+    gen = BernoulliGenerator(x, mu)
+    marks = {x: 0}  # state -> index, in index order
+    prev, steps = [], 0
+    while steps < max_steps:
+        base = steps  # chunk holds x_{base+1} .. x_{steps}
+        chunk = gen.iterate(min(block, max_steps - steps))
+        steps += len(chunk)
+        if words is not None:
+            words.fromlist(chunk)
+        seen = set(chunk)
+        if len(seen) == len(chunk) and marks.keys().isdisjoint(seen):
+            marks[chunk[-1]] = steps
+            prev = chunk
+            continue
+        first = {}
+        for e, w in enumerate(chunk, base + 1):
+            o = marks.get(w, first.get(w))
+            if o is not None:
+                break
+            first[w] = e
+        period = e - o
+        if o == 0:
+            return 0, period, steps
+        s = (o - 1) // block * block
+        n = o - s
+        if words is not None:
+            recent, lo = words, 0  # x_1 .. x_{steps}
+        else:
+            recent, lo = prev + chunk, base - len(prev)  # x_{lo+1} .. x_{steps}
+        later = recent[e - n - lo:e - lo]
+        if s >= lo:
+            earlier = recent[s - lo:o - lo]
+        elif steps + n > max_steps:
+            break
+        else:
+            mark = list(marks)[s // block]
+            earlier = BernoulliGenerator(mark, mu).iterate(n)
+            steps += n
+        i = next(i for i, (a, b) in enumerate(zip(earlier, later)) if a == b)
+        return s + 1 + i, period, steps
+    return None, None, steps

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bernstream.cipher import (CipherIOError, CipherKey, DegenerateKeyError,
                                KeyFormatError, WeakMuError, decrypt_bytes,
                                decrypt_stream, encrypt_bytes, encrypt_stream,
-                               generate_key, parse_key)
+                               _xor_bytes, generate_key, parse_key)
 from bernstream.keystream import KeystreamGenerator, keystream_bytes
 from bernstream.prng import BernoulliGenerator
 
@@ -273,6 +273,27 @@ class TestEncrypt:
 
         with pytest.raises(CipherIOError, match="at byte 0"):
             encrypt_stream(GOOD_KEY, io.BytesIO(b"payload"), BrokenSink())
+
+
+@pytest.mark.parametrize("a, b", [
+    (b"", b""),
+    (b"\x5a", b"\xa5"),
+    (b"\x5a", b"\x5a"),
+    # equal inputs XOR to all zeros, which to_bytes must keep at full length
+    (b"\x00\x00\x17\x00", b"\x00\x00\x17\x00"),
+    (b"\x00\x00\x12", b"\x00\x00\x34"),
+    (b"\x12\x00\x00", b"\x34\x00\x00"),
+    (b"\x00\x80", b"\x00\x7f"),
+    (bytes(range(256)), bytes(range(255, -1, -1))),
+], ids=["empty", "one byte", "one byte to zero", "all zero result", "leading zeros",
+        "trailing zeros", "high bit", "every byte value"])
+def test_xor_bytes(a, b):
+    want = bytes(x ^ y for x, y in zip(a, b))
+    for kind_a in (bytes, bytearray, memoryview):
+        for kind_b in (bytes, bytearray, memoryview):
+            got = _xor_bytes(kind_a(a), kind_b(b))
+            assert type(got) is bytes
+            assert got == want
 
 
 def test_generate_key_never_emits_invalid_keys():

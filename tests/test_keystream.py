@@ -1,6 +1,9 @@
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernstream import keystream
 from bernstream.cipher import CipherKey, DegenerateKeyError
@@ -28,20 +31,27 @@ PERIOD_2 = (2829035385, 187, 31301, 2)
 SHORT_PERIOD = (3725226338, 151, 231640, 5736)
 
 
+# Stream position where the chunked reads below record each orbit: they cut
+# one byte before TABLE_THRESHOLD, and the orbit is recorded from the first
+# word of the read that reaches it.
+ORIGIN = TABLE_THRESHOLD - 1
+
+
 def table_edges(tail, period):
     """Stream positions where a recorded orbit enters its cycle and first wraps.
 
     Byte p comes from the state p + 1 steps after the seed, and the orbit
-    is recorded once TABLE_THRESHOLD bytes have been served.
+    is recorded from stream position ORIGIN.
     """
-    entry = max(tail - 1, TABLE_THRESHOLD)
+    entry = max(tail - 1, ORIGIN)
     return entry, entry + period
 
 
 def scalar_keystream(monkeypatch, n, key=SIM_KEY):
     """First n bytes of a key's keystream from one read on the scalar loop."""
     with monkeypatch.context() as m:
-        m.setattr(keystream, "TABLE_THRESHOLD", n)
+        # a read is served from the recorded orbits once it reaches the threshold
+        m.setattr(keystream, "TABLE_THRESHOLD", n + 1)
         gen = KeystreamGenerator.from_key(key, allow_weak_mu=True)
         out = gen.read(n)
         assert gen._orbits == [None, None]
@@ -73,7 +83,7 @@ def assert_chunked_reads_exact(monkeypatch, key, orbits, n):
         assert gen.gen_a.started and gen.gen_b.started
         assert got[-1] == xor_parity_byte(split_word_arith(xa) + split_word_arith(xb))
     for orbit, (tail, period) in zip(gen._orbits, orbits):
-        assert (orbit.tail, orbit.period) == (max(tail - 1 - TABLE_THRESHOLD, 0), period)
+        assert (orbit.tail, orbit.period) == (max(tail - 1 - ORIGIN, 0), period)
     assert got == want
     assert keystream_bytes(key, n, allow_weak_mu=True) == want
 
@@ -140,6 +150,48 @@ def test_combine_xor_linearity():
         c = ByteQuad(*(rng.randrange(256) for _ in range(4)))
         a_xor_c = ByteQuad(*(x ^ y for x, y in zip(a, c)))
         assert combine(a_xor_c, b) == combine(a, b) ^ combine(c, zero)
+
+
+def folds_reference(words):
+    """Each word's four byte sections XORed, from the arithmetic oracles."""
+    return bytes(xor_parity_byte(split_word_arith(w)) for w in words)
+
+
+# Words whose set bits sit at the edges of a word, where the big-int fold
+# shifts bits across word boundaries.
+EDGE_WORDS = [0, 0xFFFFFFFF, 0x80000000, 0xFF000000, 0x000000FF, 0x00000001]
+
+
+@pytest.mark.parametrize("words", [
+    [0], [0xFFFFFFFF], [0x80000000], [0xFF000000, 0x000000FF], [0x000000FF, 0xFF000000],
+    [0xFFFFFFFF, 0, 0xFFFFFFFF], [0, 0xFFFFFFFF, 0], EDGE_WORDS,
+])
+def test_fold_edge_words(words):
+    assert keystream._fold(array("I", words)) == folds_reference(words)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, keystream._BLOCK - 1, keystream._BLOCK,
+                               keystream._BLOCK + 1])
+def test_fold_lengths(n):
+    rng = random.Random(n)
+    words = [rng.choice(EDGE_WORDS + [rng.randrange(2**32)]) for _ in range(n)]
+    assert keystream._fold(array("I", words)) == folds_reference(words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**32 - 1)),
+                max_size=40))
+def test_fold_matches_parity_oracle(words):
+    assert keystream._fold(array("I", words)) == folds_reference(words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(*[st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**32 - 1))] * 2),
+                max_size=40))
+def test_fold_of_two_arrays_xors_their_folds(pairs):
+    wa, wb = [p[0] for p in pairs], [p[1] for p in pairs]
+    want = bytes(x ^ y for x, y in zip(folds_reference(wa), folds_reference(wb)))
+    assert keystream._fold(array("I", wa), array("I", wb)) == want
 
 
 class TestKeystreamGenerator:
@@ -216,13 +268,41 @@ class TestKeystreamGenerator:
         assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, n)
 
     def test_short_reads_build_no_table(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("orbit recorded below the threshold")
-        monkeypatch.setattr(keystream._Orbit, "record", refuse)
-        gen = KeystreamGenerator.from_key(SIM_KEY)
-        out = b"".join(gen.read(4096) for _ in range(TABLE_THRESHOLD // 4096))
-        assert out == keystream_bytes(SIM_KEY, TABLE_THRESHOLD)
+        # short reads that stay one byte below the threshold, the last one partial
+        sizes = [4096] * (TABLE_THRESHOLD // 4096 - 1) + [4095]
+        with monkeypatch.context() as m:
+            def refuse(*args):
+                raise AssertionError("orbit recorded below the threshold")
+            m.setattr(keystream._Orbit, "record", refuse)
+            gen = KeystreamGenerator.from_key(SIM_KEY)
+            out = b"".join(gen.read(k) for k in sizes)
+        assert out == keystream_bytes(SIM_KEY, TABLE_THRESHOLD - 1)
         assert gen._orbits == [None, None]
+        # the read that reaches the threshold records both orbits from its first word
+        assert gen.read(1) == keystream_bytes(SIM_KEY, TABLE_THRESHOLD)[-1:]
+        assert all(isinstance(o, keystream._Orbit) for o in gen._orbits)
+        for orbit, (tail, period) in zip(gen._orbits, [SIM_ORBIT_A, SIM_ORBIT_B]):
+            assert (orbit.tail, orbit.period) == (max(tail - 1 - ORIGIN, 0), period)
+
+    def test_first_long_read_records_from_the_seed(self, monkeypatch):
+        # a first read of TABLE_THRESHOLD bytes, as encrypt_stream's first
+        # chunk is, steps each orbit once: only to record it
+        want = keystream_bytes(SIM_KEY, TABLE_THRESHOLD)
+        stepped = []
+        iterate = BernoulliGenerator.iterate
+
+        def counted(gen, n):
+            stepped.append(n)
+            return iterate(gen, n)
+        monkeypatch.setattr(BernoulliGenerator, "iterate", counted)
+        gen = KeystreamGenerator.from_key(SIM_KEY)
+        assert gen.read(TABLE_THRESHOLD) == want
+        for orbit, (tail, period) in zip(gen._orbits, [SIM_ORBIT_A, SIM_ORBIT_B]):
+            assert (orbit.tail, orbit.period) == (tail - 1, period)
+        # each closure steps less than two blocks past its tail + period
+        assert sum(stepped) < sum(SIM_ORBIT_A) + sum(SIM_ORBIT_B) + 4 * keystream._BLOCK
+        assert gen.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, TABLE_THRESHOLD)
+        assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, TABLE_THRESHOLD)
 
     def test_read_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -287,7 +367,7 @@ def test_recorded_orbit_matches_oracle(seed, mu):
     # folded bytes: the tail's, then the cycle's repeated over period + _BLOCK
     folded = [a ^ b ^ c ^ d for a, b, c, d in map(split_word_arith, words)]
     cycle = folded[orbit.tail:]
-    assert orbit.seq.tolist() == folded[:orbit.tail] + [
+    assert list(orbit.seq) == folded[:orbit.tail] + [
         cycle[i % period] for i in range(period + keystream._BLOCK)]
 
 

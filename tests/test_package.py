@@ -1,10 +1,15 @@
 import importlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 import bernstream
+from bernstream.cipher import parse_key
+from bernstream.keystream import TABLE_THRESHOLD
+
+from oracles import advance, keystream_reference
 
 SUBMODULES = ("analysis", "cipher", "keystream", "prng", "stats")
 PUBLIC = """
@@ -35,6 +40,50 @@ def test_import_and_cycle_command_leave_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "tail=39396 period=168564" in proc.stdout
+
+
+def test_cipher_commands_run_with_numpy_blocked(tmp_path):
+    # 200 KiB runs past TABLE_THRESHOLD, so the recorded orbits serve most
+    # of it, and past both orbits' first wrap: generator a's table enters
+    # its cycle at byte 5,891 and wraps at 30,227, b's at 53,093 and 144,219.
+    key_hex, n = "0123456789ABCDEF12C3", 200 * 1024
+    plain = random.Random(0x0B1E).randbytes(n)
+    paths = {name: str(tmp_path / f"{name}.bin")
+             for name in ("plain", "ks", "cipher", "round", "bytes")}
+    (tmp_path / "plain.bin").write_bytes(plain)
+    code = "\n".join([
+        "import sys",
+        "sys.modules['numpy'] = None  # any import of numpy now fails",
+        "from bernstream.cli import main",
+        f"paths, key = {paths!r}, {key_hex!r}",
+        "assert main(['keygen']) == 0",
+        f"assert main(['keystream', '--key', key, '--bytes', '{n}', '--out', paths['ks']]) == 0",
+        "assert main(['encrypt', '--key', key, '--in', paths['plain'],"
+        " '--out', paths['cipher']]) == 0",
+        "assert main(['decrypt', '--key', key, '--in', paths['cipher'],"
+        " '--out', paths['round']]) == 0",
+        "from bernstream import encrypt_bytes, parse_key",
+        "with open(paths['plain'], 'rb') as src, open(paths['bytes'], 'wb') as dst:",
+        "    dst.write(encrypt_bytes(parse_key(key), src.read()))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    parse_key(proc.stdout.strip())
+    out = {name: (tmp_path / f"{name}.bin").read_bytes() for name in paths}
+    ks = out["ks"]
+    assert len(ks) == n
+    key = parse_key(key_hex)
+    xa, xb, pos, width = key.seed1, key.seed2, 0, 1024
+    # windows around the table's start, the threshold, both cycle entries
+    # and both first wraps, and the last bytes
+    for start in sorted([0, TABLE_THRESHOLD, 5891, 30227, 53093, 144219, n]):
+        start = min(max(start - width // 2, pos), n - width)
+        xa, xb = advance(xa, key.mu1, start - pos), advance(xb, key.mu2, start - pos)
+        pos = start
+        assert ks[start:start + width] == keystream_reference(xa, key.mu1, xb, key.mu2, width)
+    assert out["cipher"] == bytes(a ^ b for a, b in zip(plain, ks))
+    assert out["round"] == plain
+    assert out["bytes"] == out["cipher"]
 
 
 def test_public_names_are_their_submodules_objects():
