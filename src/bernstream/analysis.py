@@ -9,9 +9,11 @@ periodic, usually with a short tail and period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .prng import BernoulliGenerator, _check_mu, _check_word, find_cycle
+# CYCLE_BLOCK is also the block of every long run of outputs stepped here
+# with BernoulliGenerator.iterate, so memory stays flat.
+from .prng import CYCLE_BLOCK, BernoulliGenerator, _check_mu, _check_word, find_cycle
 
 DEFAULT_TRANSIENT = 1000
 DEFAULT_SAMPLES = 200
@@ -21,16 +23,11 @@ DEFAULT_MAX_STEPS = 10_000_000
 # One vector step costs about 3.6 us whatever its width, one scalar step
 # about 0.2 us, so the two break even near 18 orbits.
 LANE_THRESHOLD = 18
-# Words per block of cycle_length's single pass, where the state at each
-# block start is kept as a mark, and of every long run of outputs stepped
-# with BernoulliGenerator.iterate, so memory stays flat.
-CYCLE_BLOCK = 4096
 
 CSV_HEADER = "mu,section,value"
 
 
-@dataclass(frozen=True)
-class BifurcationRecord:
+class BifurcationRecord(NamedTuple):
     """One asymptotic orbit sample: byte `value` of `section` at `mu`."""
 
     mu: int
@@ -38,8 +35,7 @@ class BifurcationRecord:
     value: int
 
 
-@dataclass(frozen=True)
-class CycleResult:
+class CycleResult(NamedTuple):
     """Eventually-periodic structure of one orbit.
 
     When the step budget runs out before the cycle is confirmed, `tail`

@@ -11,10 +11,9 @@ messages leaks the XOR of the plaintexts. Treat every key as single-use.
 
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .keystream import KeystreamGenerator, _xor_bytes
+from .keystream import KeystreamGenerator
 from .prng import MU_MAX, WORD_MASK, step
 
 # mu/256 > 1/2 keeps the map expansive; below that orbits contract onto
@@ -22,6 +21,8 @@ from .prng import MU_MAX, WORD_MASK, step
 MU_MIN_STRONG = 129
 
 KEY_HEX_LEN = 20
+# int(s, 16) alone would also take "_", "+", "-", whitespace and non-ASCII digits.
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 DEFAULT_CHUNK_SIZE = 64 * 1024
 
 
@@ -42,24 +43,35 @@ class CipherIOError(OSError):
     """Read or write failed mid-stream; message carries the byte offset."""
 
 
-@dataclass(frozen=True)
-class CipherKey:
-    """The full 80-bit secret: (seed1, mu1, seed2, mu2)."""
-
+class _KeyFields(NamedTuple):
     seed1: int
     mu1: int
     seed2: int
     mu2: int
 
-    def __post_init__(self):
-        for name in ("seed1", "seed2"):
-            v = getattr(self, name)
+
+class CipherKey(_KeyFields):
+    """The full 80-bit secret: (seed1, mu1, seed2, mu2).
+
+    An immutable record; as a named tuple it also unpacks, and equals the
+    plain tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, seed1: int, mu1: int, seed2: int, mu2: int):
+        for name, v in (("seed1", seed1), ("seed2", seed2)):
             if not 0 <= v <= WORD_MASK:
                 raise ValueError(f"{name} out of range [0, 2**32): {v!r}")
-        for name in ("mu1", "mu2"):
-            v = getattr(self, name)
+        for name, v in (("mu1", mu1), ("mu2", mu2)):
             if not 0 <= v <= MU_MAX:
                 raise ValueError(f"{name} out of range [0, 255]: {v!r}")
+        return super().__new__(cls, seed1, mu1, seed2, mu2)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the named tuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     def validate(self, allow_weak_mu: bool = False) -> None:
         """Reject keys that cannot produce a usable keystream.
@@ -104,7 +116,7 @@ def parse_key(text: str, allow_weak_mu: bool = False) -> CipherKey:
     if len(s) != KEY_HEX_LEN:
         raise KeyFormatError(
             f"key must be exactly {KEY_HEX_LEN} hex characters, got {len(s)}")
-    if any(c not in string.hexdigits for c in s):
+    if not _HEX_DIGITS.issuperset(s):
         raise KeyFormatError("key must contain only hex characters")
     key = CipherKey(seed1=int(s[0:8], 16), mu1=int(s[8:10], 16),
                     seed2=int(s[10:18], 16), mu2=int(s[18:20], 16))
@@ -150,7 +162,7 @@ def _write_all(dst, data: bytes, offset: int) -> None:
 def encrypt_bytes(key: CipherKey, data: bytes, allow_weak_mu: bool = False) -> bytes:
     """XOR data with the key's keystream. Output length equals input length."""
     gen = KeystreamGenerator.from_key(key, allow_weak_mu=allow_weak_mu)
-    return _xor_bytes(data, gen.read(len(data)))
+    return gen.read(len(data), data)
 
 
 def encrypt_stream(key: CipherKey, src, dst, allow_weak_mu: bool = False,
@@ -174,7 +186,7 @@ def encrypt_stream(key: CipherKey, src, dst, allow_weak_mu: bool = False,
             raise CipherIOError(f"read failed at byte {done}: {exc}") from exc
         if not chunk:
             return done
-        _write_all(dst, _xor_bytes(chunk, gen.read(len(chunk))), done)
+        _write_all(dst, gen.read(len(chunk), chunk), done)
         done += len(chunk)
 
 

@@ -9,7 +9,6 @@ explicitly requested with `-`; diagnostics always go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -188,6 +187,8 @@ def cmd_test(args) -> int:
     block_size = DEFAULT_BLOCK_SIZE if args.block_size is None else args.block_size
     reports = run_suite(data, block_size=block_size)
     if args.report == "json":
+        import json  # here, not at module level: only JSON reports need it
+
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     else:
         for r in reports:
@@ -211,6 +212,8 @@ def cmd_bifurcate(args) -> int:
 def cmd_cycle(args) -> int:
     result = cycle_length(args.seed, args.mu, max_steps=args.max_steps)
     if args.report == "json":
+        import json
+
         print(json.dumps({"found": result.found, "tail": result.tail,
                           "period": result.period,
                           "steps_examined": result.steps_examined}))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from array import array
 from typing import NamedTuple
 
-from .prng import BernoulliGenerator, find_cycle
+from .prng import CYCLE_BLOCK, BernoulliGenerator, find_cycle
 
 
 class ByteQuad(NamedTuple):
@@ -67,9 +67,9 @@ TABLE_THRESHOLD = 64 * 1024
 # close within about 3e5 words; weak-mu orbits are not bounded in principle,
 # so one that has not closed by the cap stays on iterate().
 TABLE_CAP = 1 << 20
-# Words recorded, folded and served per block. It bounds transient memory,
-# and keeps each big int of _fold and _xor_bytes small enough to stay in
-# cache: folding 2^20 words at once costs twice as much per word.
+# Words folded and served per block; orbits are recorded in CYCLE_BLOCK
+# words. It keeps each big int of _fold small enough to stay in cache:
+# folding 2^20 words at once costs twice as much per word.
 _BLOCK = 1 << 14
 
 
@@ -131,12 +131,12 @@ class _Orbit:
     def record(cls, x: int, mu: int) -> "_Orbit | None":
         """Step from x until a word repeats; None if TABLE_CAP words do not close.
 
-        prng.find_cycle keeps every word it steps, in blocks of _BLOCK, and
-        places tail and period from x. words[0] is one step after x, so the
-        table's tail is one word shorter, unless x lies on the cycle.
+        prng.find_cycle keeps every word it steps, in blocks of CYCLE_BLOCK,
+        and places tail and period from x. words[0] is one step after x, so
+        the table's tail is one word shorter, unless x lies on the cycle.
         """
         words = array("I")
-        tail, period, _ = find_cycle(x, mu, TABLE_CAP, _BLOCK, words)
+        tail, period, _ = find_cycle(x, mu, TABLE_CAP, CYCLE_BLOCK, words)
         if period is None:
             return None
         tail = max(tail - 1, 0)
@@ -186,8 +186,9 @@ class KeystreamGenerator:
         word_b = self.gen_b.next_word()
         return combine(split_word(word_a), split_word(word_b))
 
-    def read(self, n: int) -> bytes:
-        """Produce n keystream bytes, identical to n next_byte() calls.
+    def read(self, n: int, data=None) -> bytes:
+        """Produce n keystream bytes, identical to n next_byte() calls; or,
+        given `data`, n bytes-like, data XOR those keystream bytes.
 
         While the bytes that read() has served stay below TABLE_THRESHOLD,
         they come from one iterate() call per generator, and one fold of
@@ -195,23 +196,29 @@ class KeystreamGenerator:
         threshold on, they come from each generator's recorded orbit:
         every orbit of the 32-bit map is eventually periodic, so it is
         stepped once, from that read's first word, until it closes, and
-        its words are folded once. Each block of up to _BLOCK bytes is then
-        the XOR of one slice of each generator's folded bytes. Either way,
-        afterwards both generators hold the state that n steps reach.
+        its words are folded once. The read is then served as slices of
+        each generator's folded bytes, _BLOCK bytes at most per slice; the
+        slices of each generator are joined and read as one int, XORed
+        with the other generator's and with data's, and written out by one
+        to_bytes. Either way, afterwards both generators hold the state
+        that n steps reach.
         """
         if n < 0:
             raise ValueError(f"byte count must be >= 0: {n!r}")
+        if data is not None and len(data) != n:
+            raise ValueError(f"data must hold {n} bytes, not {len(data)}")
         if n == 0:
             return b""
         self._served += n
         if self._served < TABLE_THRESHOLD:
-            return _fold(array("I", self.gen_a.iterate(n)),
-                         array("I", self.gen_b.iterate(n)))
-        pieces = []
-        for start in range(0, n, _BLOCK):
-            m = min(_BLOCK, n - start)
-            pieces.append(_xor_bytes(self._folded(0, m), self._folded(1, m)))
-        return b"".join(pieces)
+            folded = _fold(array("I", self.gen_a.iterate(n)),
+                           array("I", self.gen_b.iterate(n)))
+            return folded if data is None else _xor_bytes(data, folded)
+        m = 0 if data is None else int.from_bytes(data, "little")
+        for k in (0, 1):
+            slices = [self._folded(k, min(_BLOCK, n - start)) for start in range(0, n, _BLOCK)]
+            m ^= int.from_bytes(b"".join(slices), "little")
+        return m.to_bytes(n, "little")
 
     def _folded(self, k: int, n: int) -> bytes:
         """Folds of generator k's next n words (k = 0 for gen_a).

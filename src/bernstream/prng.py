@@ -130,6 +130,13 @@ class BernoulliGenerator:
         return out
 
 
+# Words per block of find_cycle, for analysis.cycle_length and the
+# keystream's recorded orbits. A closure steps less than two blocks past
+# tail + period, three with a replay, so a smaller block oversteps less;
+# it costs one mark and one set() per block.
+CYCLE_BLOCK = 4096
+
+
 def find_cycle(x: int, mu: int, max_steps: int, block: int,
                words: array | None = None) -> tuple[int | None, int | None, int]:
     """Tail and minimal period of the orbit from x, in a single pass, and

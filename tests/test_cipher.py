@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from bernstream.cipher import (CipherIOError, CipherKey, DegenerateKeyError,
                                KeyFormatError, WeakMuError, decrypt_bytes,
                                decrypt_stream, encrypt_bytes, encrypt_stream,
-                               _xor_bytes, generate_key, parse_key)
-from bernstream.keystream import KeystreamGenerator, keystream_bytes
+                               generate_key, parse_key)
+from bernstream.keystream import KeystreamGenerator, _xor_bytes, keystream_bytes
 from bernstream.prng import BernoulliGenerator
+
+from oracles import advance, keystream_reference
 
 GOOD_KEY = parse_key("AAAAAAAAAABBBBBBBBBB")
 
@@ -43,6 +45,10 @@ class TestParseKey:
             parse_key("AAAA_AAAAABBBBBBBBBB")
         with pytest.raises(KeyFormatError):
             parse_key("+AAAAAAAAABBBBBBBBBB")
+        for bad in ("-AAAAAAAAABBBBBBBBBB", "AAAA AAAAABBBBBBBBBB",
+                    "\uff10AAAAAAAAABBBBBBBBBB"):  # a fullwidth zero
+            with pytest.raises(KeyFormatError):
+                parse_key(bad)
 
     def test_weak_mu_rejected_by_default(self):
         with pytest.raises(WeakMuError):
@@ -123,6 +129,28 @@ def test_cipher_key_field_ranges():
         CipherKey(seed1=0, mu1=256, seed2=1, mu2=170)
 
 
+# Two 64 KiB chunks and a short one, so encrypt_stream runs the fused read
+# of KeystreamGenerator on whole and partial chunks. GOOD_KEY's generator a
+# enters its cycle at byte 78,974; b, recorded from the seed, first wraps
+# at byte 137,322.
+STREAM_BYTES = 2 * 65536 + 12_345
+STREAM_EDGES = (0, 4095, 65535, 65537, 78_974, 131_072, 137_322, STREAM_BYTES)
+
+
+@pytest.fixture(scope="module")
+def keystream_windows():
+    """(start, bytes) windows of GOOD_KEY's keystream around STREAM_EDGES,
+    from the arithmetic oracle."""
+    key, width = GOOD_KEY, 512
+    xa, xb, pos, out = key.seed1, key.seed2, 0, []
+    for start in STREAM_EDGES:
+        start = min(max(start - width // 2, pos), STREAM_BYTES - width)
+        xa, xb = advance(xa, key.mu1, start - pos), advance(xb, key.mu2, start - pos)
+        pos = start
+        out.append((start, keystream_reference(xa, key.mu1, xb, key.mu2, width)))
+    return out
+
+
 class TestEncrypt:
 
     def test_empty_round_trip(self):
@@ -174,6 +202,17 @@ class TestEncrypt:
         pt = io.BytesIO()
         decrypt_stream(GOOD_KEY, io.BytesIO(ct.getvalue()), pt)
         assert pt.getvalue() == msg
+
+    @pytest.mark.parametrize("chunk_size", [1, 4095, 65536, 65537])
+    def test_stream_chunks_match_the_oracle(self, keystream_windows, chunk_size):
+        plain = random.Random(chunk_size).randbytes(STREAM_BYTES)
+        dst = io.BytesIO()
+        assert encrypt_stream(GOOD_KEY, io.BytesIO(plain), dst,
+                              chunk_size=chunk_size) == STREAM_BYTES
+        out = dst.getvalue()
+        for start, ks in keystream_windows:
+            assert out[start:start + len(ks)] == _xor_bytes(plain[start:start + len(ks)], ks)
+        assert out == _xor_bytes(plain, keystream_bytes(GOOD_KEY, STREAM_BYTES))
 
     def test_degenerate_key_rejected_before_any_output(self):
         bad = CipherKey(seed1=1, mu1=170, seed2=1, mu2=170)

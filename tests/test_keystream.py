@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernstream import keystream
-from bernstream.cipher import CipherKey, DegenerateKeyError
+from bernstream.cipher import CipherKey, DegenerateKeyError, parse_key
 from bernstream.keystream import (TABLE_THRESHOLD, ByteQuad, KeystreamGenerator,
-                                  combine, keystream_bytes, reassemble,
+                                  _xor_bytes, combine, keystream_bytes, reassemble,
                                   split_half, split_word)
-from bernstream.prng import BernoulliGenerator
+from bernstream.prng import BernoulliGenerator, find_cycle
 
 from oracles import (advance, cycle_visited, keystream_reference, orbit_reference,
                      split_word_arith, xor_parity_byte)
@@ -58,21 +58,28 @@ def scalar_keystream(monkeypatch, n, key=SIM_KEY):
     return out
 
 
-def assert_chunked_reads_exact(monkeypatch, key, orbits, n):
-    """Read a key's first n bytes in chunks cut at every table boundary.
+def table_cuts(orbits, n):
+    """Stream positions up to n that cut a read at every table boundary.
 
     The cuts fall at each generator's tail and tail + period from the seed,
     at its cycle entry and first wrap in its recorded orbit, at multiples
-    of _BLOCK from TABLE_THRESHOLD, and one byte either side of each. The
-    bytes must equal one scalar-path read; after each chunk both
-    generators' states, and the chunk's last byte, must equal the
-    arithmetic oracle's.
+    of _BLOCK from TABLE_THRESHOLD, and one byte either side of each.
     """
     block = keystream._BLOCK
     edges = [TABLE_THRESHOLD + k * block for k in range(4)]
     for tail, period in orbits:
         edges += [tail, tail + period, *table_edges(tail, period)]
-    cuts = sorted({e + d for e in edges for d in (-1, 0, 1) if 0 < e + d < n} | {n})
+    return sorted({e + d for e in edges for d in (-1, 0, 1) if 0 < e + d < n} | {n})
+
+
+def assert_chunked_reads_exact(monkeypatch, key, orbits, n):
+    """Read a key's first n bytes in chunks cut at every table boundary.
+
+    The bytes must equal one scalar-path read; after each chunk both
+    generators' states, and the chunk's last byte, must equal the
+    arithmetic oracle's.
+    """
+    cuts = table_cuts(orbits, n)
     want = scalar_keystream(monkeypatch, n, key)
     gen = KeystreamGenerator.from_key(key, allow_weak_mu=True)
     xa, xb, got = key.seed1, key.seed2, b""
@@ -299,8 +306,8 @@ class TestKeystreamGenerator:
         assert gen.read(TABLE_THRESHOLD) == want
         for orbit, (tail, period) in zip(gen._orbits, [SIM_ORBIT_A, SIM_ORBIT_B]):
             assert (orbit.tail, orbit.period) == (tail - 1, period)
-        # each closure steps less than two blocks past its tail + period
-        assert sum(stepped) < sum(SIM_ORBIT_A) + sum(SIM_ORBIT_B) + 4 * keystream._BLOCK
+        # each closure steps less than two closure blocks past its tail + period
+        assert sum(stepped) < sum(SIM_ORBIT_A) + sum(SIM_ORBIT_B) + 4 * keystream.CYCLE_BLOCK
         assert gen.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, TABLE_THRESHOLD)
         assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, TABLE_THRESHOLD)
 
@@ -374,10 +381,80 @@ def test_recorded_orbit_matches_oracle(seed, mu):
 @pytest.mark.parametrize("blocks_per_period", [1, 2, 3])
 def test_periods_that_are_multiples_of_the_block_close(monkeypatch, blocks_per_period):
     seed, mu, tail, period = SHORT_PERIOD
-    monkeypatch.setattr(keystream, "_BLOCK", period // blocks_per_period)
+    monkeypatch.setattr(keystream, "CYCLE_BLOCK", period // blocks_per_period)
     # from 10 steps before the cycle, the table's tail is 9 words
     orbit = keystream._Orbit.record(advance(seed, mu, tail - 10), mu)
     assert (orbit.tail, orbit.period) == (9, period)
+
+
+# The four keys of the bulk-encrypt benchmark workload.
+BULK_KEYS = ("F4271242D67D883F82A5", "C13EE345BB155AB65983",
+             "99583E5DE330F6FF6298", "1282A60FCCAB21059D81")
+
+
+def test_bulk_encrypt_orbits_close_within_two_closure_blocks():
+    # encrypt's first read of TABLE_THRESHOLD bytes records each of these
+    # eight orbits from its seed, with these arguments
+    steps = visited = 0
+    for key in map(parse_key, BULK_KEYS):
+        for seed, mu in ((key.seed1, key.mu1), (key.seed2, key.mu2)):
+            tail, period, n = find_cycle(seed, mu, keystream.TABLE_CAP,
+                                         keystream.CYCLE_BLOCK, array("I"))
+            assert tail + period <= n < tail + period + 2 * keystream.CYCLE_BLOCK
+            steps, visited = steps + n, visited + tail + period
+    assert visited == 535_094
+    assert steps == 565_248
+
+
+def assert_fused_reads_exact(key, orbits, n):
+    """read(k, data) is data XOR read(k), for chunks cut at every table boundary."""
+    plain = random.Random(n).randbytes(n)
+    fused = KeystreamGenerator.from_key(key, allow_weak_mu=True)
+    unfused = KeystreamGenerator.from_key(key, allow_weak_mu=True)
+    cuts = table_cuts(orbits, n)
+    for a, b in zip([0] + cuts, cuts):
+        chunk = plain[a:b]
+        assert fused.read(b - a, chunk) == _xor_bytes(chunk, unfused.read(b - a))
+    assert (fused.gen_a.x, fused.gen_b.x) == (unfused.gen_a.x, unfused.gen_b.x)
+    return fused
+
+
+def test_fused_read_matches_xor_on_a_capped_orbit(monkeypatch):
+    # as in test_orbit_over_the_cap_stays_on_the_scalar_loop: a is capped
+    monkeypatch.setattr(keystream, "TABLE_CAP", 1 << 17)
+    gen = assert_fused_reads_exact(SIM_KEY, [SIM_ORBIT_A, SIM_ORBIT_B], SIM_LONG)
+    assert gen._orbits[0] is False
+    assert isinstance(gen._orbits[1], keystream._Orbit)
+
+
+def test_fused_read_matches_xor_on_periods_1_and_2():
+    key = CipherKey(seed1=PERIOD_1[0], mu1=PERIOD_1[1], seed2=PERIOD_2[0], mu2=PERIOD_2[1])
+    orbits = [PERIOD_1[2:], PERIOD_2[2:]]
+    n = max(table_edges(*o)[1] for o in orbits) + 4 * keystream._BLOCK + 5
+    gen = assert_fused_reads_exact(key, orbits, n)
+    assert [o.period for o in gen._orbits] == [1, 2]
+
+
+@pytest.mark.parametrize("n", [0, 1, 1000, TABLE_THRESHOLD + 1000])
+def test_fused_read_takes_any_bytes_like(n):
+    plain = random.Random(n).randbytes(n)
+    want = _xor_bytes(plain, keystream_bytes(SIM_KEY, n))
+    for kind in (bytes, bytearray, memoryview):
+        got = KeystreamGenerator.from_key(SIM_KEY).read(n, kind(plain))
+        assert type(got) is bytes
+        assert got == want
+    assert KeystreamGenerator.from_key(SIM_KEY).read(0, b"") == b""
+
+
+@pytest.mark.parametrize("n, size", [(10, 9), (10, 11), (0, 1),
+                                     (TABLE_THRESHOLD, TABLE_THRESHOLD - 1)])
+def test_fused_read_rejects_data_of_another_length(n, size):
+    gen = KeystreamGenerator.from_key(SIM_KEY)
+    with pytest.raises(ValueError, match="data must hold"):
+        gen.read(n, bytes(size))
+    # nothing was stepped
+    assert (gen.gen_a.x, gen.gen_b.x) == (SIM_KEY.seed1, SIM_KEY.seed2)
+    assert gen.read(10) == keystream_bytes(SIM_KEY, 10)
 
 
 def test_table_path_from_the_first_byte(monkeypatch):

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 import bernstream
-from bernstream.cipher import parse_key
+from bernstream.analysis import CycleResult
+from bernstream.cipher import CipherKey, parse_key
 from bernstream.keystream import TABLE_THRESHOLD
 
 from oracles import advance, keystream_reference
@@ -84,6 +85,55 @@ def test_cipher_commands_run_with_numpy_blocked(tmp_path):
     assert out["cipher"] == bytes(a ^ b for a, b in zip(plain, ks))
     assert out["round"] == plain
     assert out["bytes"] == out["cipher"]
+
+
+def test_cycle_and_encrypt_leave_heavy_modules_unloaded(tmp_path):
+    # dataclasses pulls in inspect, dis and ast; json is needed only by
+    # --report json; all of them cost every CLI start
+    plain = tmp_path / "plain.bin"
+    plain.write_bytes(random.Random(0xD47A).randbytes(TABLE_THRESHOLD + 1000))
+    code = "\n".join([
+        "import sys",
+        "from bernstream.cli import main",
+        "assert main(['cycle', '--seed', '0x80000000', '--mu', '170']) == 0",
+        f"assert main(['encrypt', '--key', '0123456789ABCDEF12C3', '--in', {str(plain)!r},"
+        f" '--out', {str(tmp_path / 'cipher.bin')!r}]) == 0",
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "cipher.bin").stat().st_size == TABLE_THRESHOLD + 1000
+
+
+@pytest.mark.parametrize("record, fields, other", [
+    (CipherKey, {"seed1": 0xAAAAAAAA, "mu1": 0xAA, "seed2": 0xBBBBBBBB, "mu2": 0xBB},
+     (0xAAAAAAAA, 0xAA, 0xBBBBBBBB, 0xBC)),
+    (CycleResult, {"tail": 39396, "period": 168564, "steps_examined": 212992},
+     (None, None, 212992)),
+])
+def test_records_are_immutable_values(record, fields, other):
+    a = record(**fields)
+    assert a == record(*fields.values()) and hash(a) == hash(record(*fields.values()))
+    assert a != record(*other)
+    assert {n: getattr(a, n) for n in fields} == fields
+    assert repr(a) == f"{record.__name__}(" + ", ".join(
+        f"{n}={v!r}" for n, v in fields.items()) + ")"
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+
+
+@pytest.mark.parametrize("field, value", [("seed1", 2**32), ("mu1", 256),
+                                          ("seed2", -1), ("mu2", -1)])
+def test_cipher_key_checks_each_field(field, value):
+    fields = {"seed1": 0, "mu1": 170, "seed2": 1, "mu2": 171, field: value}
+    with pytest.raises(ValueError, match=f"{field} out of range"):
+        CipherKey(**fields)
+    with pytest.raises(ValueError, match=f"{field} out of range"):
+        CipherKey(seed1=0, mu1=170, seed2=1, mu2=171)._replace(**{field: value})
 
 
 def test_public_names_are_their_submodules_objects():
