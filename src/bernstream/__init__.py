@@ -25,11 +25,9 @@ _EXPORTS = {
                "KeyFormatError", "WeakMuError", "decrypt_bytes",
                "decrypt_stream", "encrypt_bytes", "encrypt_stream",
                "generate_key", "parse_key"),
-    "keystream": ("ByteQuad", "KeystreamGenerator", "combine",
-                  "keystream_bytes", "reassemble", "split_half", "split_word"),
+    "keystream": ("KeystreamGenerator", "keystream_bytes"),
     "prng": ("MU_MAX", "WORD_BITS", "WORD_MASK", "BernoulliGenerator",
-             "generalization_factor", "max_step_value", "step",
-             "step_reference"),
+             "generalization_factor", "max_step_value", "step"),
     "stats": ("ALPHA", "TestReport", "bits_from_bytes", "block_frequency_test",
               "cusum_test", "fft_test", "frequency_test", "run_suite",
               "runs_test"),

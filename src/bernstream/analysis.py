@@ -11,18 +11,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-# CYCLE_BLOCK is also the block of every long run of outputs stepped here
-# with BernoulliGenerator.iterate, so memory stays flat.
+# CYCLE_BLOCK is also the block in which coverage() steps its outputs with
+# BernoulliGenerator.iterate, so memory stays flat.
 from .prng import CYCLE_BLOCK, BernoulliGenerator, _check_mu, _check_word, find_cycle
 
 DEFAULT_TRANSIENT = 1000
 DEFAULT_SAMPLES = 200
 DEFAULT_MAX_STEPS = 10_000_000
-
-# Scans of this many mu values or more step all orbits as one numpy vector.
-# One vector step costs about 3.6 us whatever its width, one scalar step
-# about 0.2 us, so the two break even near 18 orbits.
-LANE_THRESHOLD = 18
 
 CSV_HEADER = "mu,section,value"
 
@@ -63,12 +58,6 @@ def byte_section(x: int, section: int) -> int:
     return (x >> _section_shift(section)) & 0xFF
 
 
-def _iterate_blocks(gen: BernoulliGenerator, n: int):
-    """gen's next n output words, as lists of at most CYCLE_BLOCK words."""
-    for done in range(0, n, CYCLE_BLOCK):
-        yield gen.iterate(min(CYCLE_BLOCK, n - done))
-
-
 def bifurcation_sections(mu_min: int, mu_max: int, x0: int,
                           transient: int = DEFAULT_TRANSIENT,
                           samples: int = DEFAULT_SAMPLES,
@@ -76,11 +65,10 @@ def bifurcation_sections(mu_min: int, mu_max: int, x0: int,
     """Asymptotic byte-section samples for every mu in [mu_min, mu_max].
 
     Returns a uint8 numpy array of shape (mu_max - mu_min + 1, samples):
-    row k is the orbit for mu_min + k, started afresh at x0, with
+    row k is the orbit for mu_min + k, run afresh from x0, with
     `transient` outputs discarded and then byte `section` of the next
-    `samples` outputs. Scans of LANE_THRESHOLD or more mu values step
-    every orbit at once as one vector of uint64 lanes; narrower ones step
-    each orbit with BernoulliGenerator.iterate. Both give the same array.
+    `samples` outputs. Every orbit is stepped at once, as one vector of
+    uint64 lanes.
     """
     _check_mu(mu_min)
     _check_mu(mu_max)
@@ -97,13 +85,6 @@ def bifurcation_sections(mu_min: int, mu_max: int, x0: int,
     mus = range(mu_min, mu_max + 1)
     # Assigning a wider integer array to this uint8 one keeps its low byte.
     out = np.empty((len(mus), samples), dtype=np.uint8)
-    if len(mus) < LANE_THRESHOLD:
-        for row, mu in zip(out, mus):
-            gen = BernoulliGenerator(x0, mu)
-            for _ in _iterate_blocks(gen, transient):
-                pass
-            row[:] = np.array(gen.iterate(samples), dtype=np.uint32) >> shift
-        return out
     mu = np.array(mus, dtype=np.uint64)
     gf = (256 - mu) << 23
     x = np.full(len(mus), x0, dtype=np.uint64)
@@ -151,8 +132,8 @@ def coverage(seed: int, mu: int, section: int, n: int) -> float:
     shift = _section_shift(section)
     gen = BernoulliGenerator(seed, mu)
     seen = set()
-    for block in _iterate_blocks(gen, n):
-        seen.update((w >> shift) & 0xFF for w in block)
+    for done in range(0, n, CYCLE_BLOCK):
+        seen.update((w >> shift) & 0xFF for w in gen.iterate(min(CYCLE_BLOCK, n - done)))
     return len(seen) / 256.0
 
 

@@ -1,4 +1,4 @@
-"""Word splitting and the two-generator XOR combiner.
+"""The two-generator keystream and its XOR fold.
 
 Each 32-bit generator word is split into four byte sections (section 1
 is the most significant). The keystream byte is the bitwise XOR of all
@@ -9,53 +9,8 @@ software equivalent of a 56-gate XOR array, 7 gates per output bit.
 from __future__ import annotations
 
 from array import array
-from typing import NamedTuple
 
 from .prng import CYCLE_BLOCK, BernoulliGenerator, find_cycle
-
-
-class ByteQuad(NamedTuple):
-    """The four byte sections of a 32-bit word, most significant first."""
-
-    b3: int
-    b2: int
-    b1: int
-    b0: int
-
-
-def split_half(x: int, width: int) -> tuple[int, int]:
-    """Split a width-bit value into (high, low) halves.
-
-    high = floor(x / 2**(width/2)), low = x mod 2**(width/2).
-    """
-    if width <= 0 or width % 2:
-        raise ValueError(f"width must be a positive even bit count: {width!r}")
-    if not 0 <= x < 1 << width:
-        raise ValueError(f"value out of range for {width} bits: {x!r}")
-    half = width // 2
-    return x >> half, x & ((1 << half) - 1)
-
-
-def split_word(x: int) -> ByteQuad:
-    """Split a 32-bit word into four bytes via two halving stages (32 -> 16 -> 8)."""
-    hi, lo = split_half(x, 32)
-    b3, b2 = split_half(hi, 16)
-    b1, b0 = split_half(lo, 16)
-    return ByteQuad(b3, b2, b1, b0)
-
-
-def reassemble(quad: ByteQuad) -> int:
-    """Inverse of split_word."""
-    return (quad.b3 << 24) | (quad.b2 << 16) | (quad.b1 << 8) | quad.b0
-
-
-def combine(a: ByteQuad, b: ByteQuad) -> int:
-    """XOR all eight byte sections into one keystream byte.
-
-    Each output bit is the parity of the corresponding bit of the eight
-    inputs. Identical quads cancel to 0x00 -- the degenerate-key hazard.
-    """
-    return a.b3 ^ a.b2 ^ a.b1 ^ a.b0 ^ b.b3 ^ b.b2 ^ b.b1 ^ b.b0
 
 
 # read() steps both generators with iterate() until a read reaches
@@ -180,15 +135,9 @@ class KeystreamGenerator:
         return cls(BernoulliGenerator(key.seed1, key.mu1),
                    BernoulliGenerator(key.seed2, key.mu2))
 
-    def next_byte(self) -> int:
-        """Advance both generators one step and combine their words."""
-        word_a = self.gen_a.next_word()
-        word_b = self.gen_b.next_word()
-        return combine(split_word(word_a), split_word(word_b))
-
     def read(self, n: int, data=None) -> bytes:
-        """Produce n keystream bytes, identical to n next_byte() calls; or,
-        given `data`, n bytes-like, data XOR those keystream bytes.
+        """Produce the next n keystream bytes; or, given `data`, n
+        bytes-like, data XOR those keystream bytes.
 
         While the bytes that read() has served stay below TABLE_THRESHOLD,
         they come from one iterate() call per generator, and one fold of
@@ -196,9 +145,10 @@ class KeystreamGenerator:
         threshold on, they come from each generator's recorded orbit:
         every orbit of the 32-bit map is eventually periodic, so it is
         stepped once, from that read's first word, until it closes, and
-        its words are folded once. The read is then served as slices of
-        each generator's folded bytes, _BLOCK bytes at most per slice; the
-        slices of each generator are joined and read as one int, XORed
+        its words are folded once. The read is then served in windows of
+        4 * _BLOCK bytes, so its memory does not grow with n beyond the
+        output. In each window, each generator's folded bytes are sliced,
+        _BLOCK bytes at most per slice, joined and read as one int, XORed
         with the other generator's and with data's, and written out by one
         to_bytes. Either way, afterwards both generators hold the state
         that n steps reach.
@@ -214,19 +164,25 @@ class KeystreamGenerator:
             folded = _fold(array("I", self.gen_a.iterate(n)),
                            array("I", self.gen_b.iterate(n)))
             return folded if data is None else _xor_bytes(data, folded)
-        m = 0 if data is None else int.from_bytes(data, "little")
-        for k in (0, 1):
-            slices = [self._folded(k, min(_BLOCK, n - start)) for start in range(0, n, _BLOCK)]
-            m ^= int.from_bytes(b"".join(slices), "little")
-        return m.to_bytes(n, "little")
+        view = None if data is None else memoryview(data)
+        window = 4 * _BLOCK
+        out = []
+        for start in range(0, n, window):
+            size = min(window, n - start)
+            m = 0 if view is None else int.from_bytes(view[start:start + size], "little")
+            for k in (0, 1):
+                slices = [self._folded(k, min(_BLOCK, size - i)) for i in range(0, size, _BLOCK)]
+                m ^= int.from_bytes(b"".join(slices), "little")
+            out.append(m.to_bytes(size, "little"))
+        return b"".join(out)
 
     def _folded(self, k: int, n: int) -> bytes:
         """Folds of generator k's next n words (k = 0 for gen_a).
 
         They come from the generator's recorded orbit, which is recorded
         again whenever the generator's state is not the one the table left
-        it in, e.g. after next_byte() or iterate(). An orbit that overran
-        TABLE_CAP is stepped with iterate() and folded here.
+        it in, e.g. after iterate(). An orbit that overran TABLE_CAP is
+        stepped with iterate() and folded here.
         """
         gen = (self.gen_a, self.gen_b)[k]
         orbit = self._orbits[k]
@@ -236,7 +192,6 @@ class KeystreamGenerator:
             return _fold(array("I", gen.iterate(n)))
         folded = orbit.serve(n)
         gen.x = orbit.x
-        gen.started = True
         return folded
 
 

@@ -52,19 +52,6 @@ def step(x: int, mu: int) -> int:
     return ((t * mu) >> 8) + ((256 - mu) << 23)
 
 
-def step_reference(x: int, mu: int) -> int:
-    """Plain-arithmetic restatement of step().
-
-    Written with unbounded-precision *, //, % only (no shifts or masks)
-    so the two implementations share no tricks and can cross-check each
-    other. Intended for tests and acceptance runs, not hot loops.
-    """
-    _check_word(x)
-    _check_mu(mu)
-    t = (2 * x) % 2**32
-    return (t * mu) // 2**8 + 2**23 * (256 - mu)
-
-
 def max_step_value(mu: int) -> int:
     """Largest value step(x, mu) can take over all x.
 
@@ -76,39 +63,28 @@ def max_step_value(mu: int) -> int:
 
 
 class BernoulliGenerator:
-    """One generator: a state register, its feedback factor, and the
-    seed-injection flag.
+    """One generator: a state register and its feedback factor.
 
-    `started` models the hardware's run flip-flop: False until the first
-    step consumes the seed, then permanently True. The seed itself is
-    never emitted -- the register captures adder outputs only, so the
-    output sequence begins at step(seed).
+    The seed itself is never emitted -- the register captures adder
+    outputs only, so the output sequence begins at step(seed).
 
     Instances are sequential state machines: never step one instance
     from two threads. Distinct instances are fully independent.
     """
 
-    __slots__ = ("x", "mu", "started")
+    __slots__ = ("x", "mu")
 
     def __init__(self, seed: int, mu: int):
         _check_word(seed)
         _check_mu(mu)
         self.x = seed
         self.mu = mu
-        self.started = False
 
     def __repr__(self) -> str:
-        return (f"{type(self).__name__}(x={self.x:#010x}, mu={self.mu}, "
-                f"started={self.started})")
-
-    def next_word(self) -> int:
-        """Advance one step and return the new register contents."""
-        self.x = step(self.x, self.mu)
-        self.started = True
-        return self.x
+        return f"{type(self).__name__}(x={self.x:#010x}, mu={self.mu})"
 
     def iterate(self, n: int) -> list[int]:
-        """Return the next n output words; equivalent to n next_word() calls.
+        """Return the next n output words: step() applied n times from x.
 
         n = 0 returns an empty list and leaves the generator untouched.
         """
@@ -117,7 +93,7 @@ class BernoulliGenerator:
         if n == 0:
             return []
         # (2x mod 2**32)*mu >> 8 == (x mod 2**31)*mu >> 7; one op fewer
-        # per step. This loop is the hot path for scans and keystreams.
+        # per step. This loop is the hot path for cycle searches and keystreams.
         x = self.x
         mu = self.mu
         gf = (256 - mu) << 23
@@ -126,7 +102,6 @@ class BernoulliGenerator:
             x = ((x & 0x7FFFFFFF) * mu >> 7) + gf
             out[i] = x
         self.x = x
-        self.started = True
         return out
 
 

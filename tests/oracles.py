@@ -2,23 +2,38 @@
 
 Everything here sticks to plain arbitrary-precision arithmetic (//, %,
 *) and avoids the package's bit-twiddling code paths, so a bug cannot
-cancel itself out when implementation and oracle are compared. The
-package imports are step_reference, which is itself the plain-arithmetic
-restatement of the datapath, and normal_cdf, which the randomness
-references share with the tests they check and which is checked against
-mpmath on its own.
+cancel itself out when implementation and oracle are compared. The one
+package import is normal_cdf, which the randomness references share with
+the tests they check and which is checked against mpmath on its own.
 """
 
 from math import erfc, floor, log, sqrt
 
 import numpy as np
 
-from bernstream.prng import step_reference
 from bernstream.special import normal_cdf
 
 
+def step_reference(x, mu):
+    """One map step, restated in plain arithmetic.
+
+    Written with unbounded-precision *, //, % only (no shifts or masks)
+    so it and prng.step share no tricks and can cross-check each other.
+    Rejects out-of-range inputs as step() does.
+    """
+    if not 0 <= x < 2**32:
+        raise ValueError(f"state word out of range [0, 2**32): {x!r}")
+    if not 0 <= mu <= 255:
+        raise ValueError(f"feedback factor out of range [0, 255]: {mu!r}")
+    t = (2 * x) % 2**32
+    return (t * mu) // 2**8 + 2**23 * (256 - mu)
+
+
 def split_word_arith(word):
-    """Four byte sections via two halving stages, most significant first."""
+    """Four byte sections via two halving stages, most significant first.
+
+    It and xor_parity_byte also work elementwise on numpy integer arrays.
+    """
     hi, lo = word // 2**16, word % 2**16
     return (hi // 2**8, hi % 2**8, lo // 2**8, lo % 2**8)
 

@@ -4,8 +4,7 @@ import random
 import pytest
 
 from bernstream import analysis
-from bernstream.analysis import (CYCLE_BLOCK, LANE_THRESHOLD,
-                                 BifurcationRecord, bifurcation_scan,
+from bernstream.analysis import (CYCLE_BLOCK, BifurcationRecord, bifurcation_scan,
                                  bifurcation_sections, byte_section, coverage,
                                  cycle_length, write_bifurcation_csv,
                                  write_bifurcation_sections)
@@ -79,13 +78,11 @@ def reference_scan(mu_min, mu_max, x0, transient, samples, section):
             for word in orbit_reference(x0, mu, transient + samples)[transient:]]
 
 
-@pytest.mark.parametrize("width", [1, LANE_THRESHOLD - 1, LANE_THRESHOLD,
-                                   LANE_THRESHOLD + 1, 256])
+@pytest.mark.parametrize("width", [1, 17, 18, 19, 256])
 @pytest.mark.parametrize("x0", [0, 2**31, 2**32 - 1])
 def test_scan_and_csv_match_oracle(width, x0):
-    # both stepping branches (per-mu iterate below LANE_THRESHOLD, vector
-    # lanes from it on), every section, with and without a transient; the
-    # scan reaches mu 0 from x0 = 0 and mu 255 otherwise
+    # vectors of one lane up to every mu, every section, with and without
+    # a transient; the scan reaches mu 0 from x0 = 0 and mu 255 otherwise
     mu_min = 0 if x0 == 0 else 256 - width
     mu_max = mu_min + width - 1
     for section in (1, 2, 3, 4):
@@ -104,8 +101,9 @@ def test_scan_and_csv_match_oracle(width, x0):
 
 
 def test_long_runs_are_stepped_in_blocks(monkeypatch):
-    # a narrow scan's transient and coverage's outputs span several blocks,
-    # the last one partial; no single iterate() call exceeds a block
+    # coverage's outputs span several blocks, the last one partial, and no
+    # iterate() call exceeds a block; the scan steps numpy lanes, makes no
+    # iterate() call, and matches the oracle over a transient as long
     sizes = []
 
     class Counted(BernoulliGenerator):
@@ -126,7 +124,7 @@ def test_long_runs_are_stepped_in_blocks(monkeypatch):
         visited = {byte_section(w, section) for w in orbit_reference(x0, 170, n)}
         assert coverage(x0, 170, section, n) == len(visited) / 256
     assert max(sizes) == CYCLE_BLOCK
-    assert sum(sizes) == 2 * (transient + samples) + 2 * n
+    assert sum(sizes) == 2 * n
 
 
 def test_scan_rejects_out_of_range_x0():

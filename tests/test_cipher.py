@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +214,25 @@ class TestEncrypt:
         for start, ks in keystream_windows:
             assert out[start:start + len(ks)] == _xor_bytes(plain[start:start + len(ks)], ks)
         assert out == _xor_bytes(plain, keystream_bytes(GOOD_KEY, STREAM_BYTES))
+
+    def test_one_long_call_holds_about_two_copies(self):
+        # one call of 4 MiB + 12,345 bytes is read in 64 KiB windows: its peak
+        # is the output and the windows joined into it, under 3n. The key's
+        # orbits close within 1,561 and 1,078 words, so their recording adds
+        # little memory and tracing stays fast.
+        key = parse_key("A6A3A450816CAD4A2682")
+        n = 4 * 2**20 + 12_345
+        plain = random.Random(n).randbytes(n)
+        tracemalloc.start()
+        try:
+            out = encrypt_bytes(key, plain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n
+        dst = io.BytesIO()
+        encrypt_stream(key, io.BytesIO(plain), dst)
+        assert out == dst.getvalue()
 
     def test_degenerate_key_rejected_before_any_output(self):
         bad = CipherKey(seed1=1, mu1=170, seed2=1, mu2=170)

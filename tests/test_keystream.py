@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from bernstream import keystream
 from bernstream.cipher import CipherKey, DegenerateKeyError, parse_key
-from bernstream.keystream import (TABLE_THRESHOLD, ByteQuad, KeystreamGenerator,
-                                  _xor_bytes, combine, keystream_bytes, reassemble,
-                                  split_half, split_word)
+from bernstream.keystream import (TABLE_THRESHOLD, KeystreamGenerator, _xor_bytes,
+                                  keystream_bytes)
 from bernstream.prng import BernoulliGenerator, find_cycle
 
 from oracles import (advance, cycle_visited, keystream_reference, orbit_reference,
@@ -87,7 +86,6 @@ def assert_chunked_reads_exact(monkeypatch, key, orbits, n):
         got += gen.read(b - a)
         xa, xb = advance(xa, key.mu1, b - a), advance(xb, key.mu2, b - a)
         assert (gen.gen_a.x, gen.gen_b.x) == (xa, xb)
-        assert gen.gen_a.started and gen.gen_b.started
         assert got[-1] == xor_parity_byte(split_word_arith(xa) + split_word_arith(xb))
     for orbit, (tail, period) in zip(gen._orbits, orbits):
         assert (orbit.tail, orbit.period) == (max(tail - 1 - ORIGIN, 0), period)
@@ -95,68 +93,48 @@ def assert_chunked_reads_exact(monkeypatch, key, orbits, n):
     assert keystream_bytes(key, n, allow_weak_mu=True) == want
 
 
-def test_split_half_known_values():
-    assert split_half(0x12345678, 32) == (0x1234, 0x5678)
-    assert split_half(0, 32) == (0, 0)
-    assert split_half(0xFFFF, 16) == (0xFF, 0xFF)
-
-
-def test_split_half_rejects_odd_width():
-    with pytest.raises(ValueError):
-        split_half(0, 7)
-    with pytest.raises(ValueError):
-        split_half(0, 0)
-
-
-def test_split_half_rejects_out_of_range_value():
-    with pytest.raises(ValueError):
-        split_half(1 << 16, 16)
-    with pytest.raises(ValueError):
-        split_half(-1, 16)
-
-
 def test_split_word_known_values():
-    assert split_word(0x12345678) == ByteQuad(0x12, 0x34, 0x56, 0x78)
-    assert split_word(0) == ByteQuad(0, 0, 0, 0)
+    assert split_word_arith(0x12345678) == (0x12, 0x34, 0x56, 0x78)
+    assert split_word_arith(0) == (0, 0, 0, 0)
     # first word of the 0xAAAAAAAA / mu=170 orbit, 0x63AAAAA9
-    assert split_word(1672129193) == ByteQuad(0x63, 0xAA, 0xAA, 0xA9)
-    assert reassemble(split_word(1672129193)) == 1672129193
+    assert split_word_arith(1672129193) == (0x63, 0xAA, 0xAA, 0xA9)
+    assert keystream._fold(array("I", [1672129193])) == bytes([0x63 ^ 0xAA ^ 0xAA ^ 0xA9])
 
 
 def test_split_word_round_trip_random():
     rng = random.Random(0x5111)
     for _ in range(10_000):
         w = rng.randrange(2**32)
-        quad = split_word(w)
-        assert reassemble(quad) == w
-        assert tuple(quad) == split_word_arith(w)
+        b3, b2, b1, b0 = split_word_arith(w)
+        assert (b3 << 24) | (b2 << 16) | (b1 << 8) | b0 == w
+        assert (b3, b2, b1, b0) == tuple(w.to_bytes(4, "big"))
+
+
+def fold_pairs(wa, wb):
+    """_fold of two generators' words, given as lists."""
+    return keystream._fold(array("I", wa), array("I", wb))
 
 
 def test_combine_known_values():
-    q = split_word(0xDEADBEEF)
-    assert combine(q, q) == 0
-    assert combine(ByteQuad(1, 2, 4, 8), ByteQuad(16, 32, 64, 128)) == 0xFF
-    aa = ByteQuad(0xAA, 0xAA, 0xAA, 0xAA)
-    assert combine(aa, aa) == 0
+    assert fold_pairs([0xDEADBEEF], [0xDEADBEEF]) == b"\x00"
+    assert fold_pairs([0x01020408], [0x10204080]) == b"\xff"
+    assert fold_pairs([0xAAAAAAAA], [0xAAAAAAAA]) == b"\x00"
 
 
 def test_combine_matches_parity_oracle():
     rng = random.Random(0xC0B1)
-    for _ in range(5_000):
-        a = ByteQuad(*(rng.randrange(256) for _ in range(4)))
-        b = ByteQuad(*(rng.randrange(256) for _ in range(4)))
-        assert combine(a, b) == xor_parity_byte(tuple(a) + tuple(b))
+    wa = [rng.randrange(2**32) for _ in range(5_000)]
+    wb = [rng.randrange(2**32) for _ in range(5_000)]
+    assert list(fold_pairs(wa, wb)) == [
+        xor_parity_byte(split_word_arith(a) + split_word_arith(b)) for a, b in zip(wa, wb)]
 
 
 def test_combine_xor_linearity():
     rng = random.Random(0x11EA)
-    zero = ByteQuad(0, 0, 0, 0)
-    for _ in range(2_000):
-        a = ByteQuad(*(rng.randrange(256) for _ in range(4)))
-        b = ByteQuad(*(rng.randrange(256) for _ in range(4)))
-        c = ByteQuad(*(rng.randrange(256) for _ in range(4)))
-        a_xor_c = ByteQuad(*(x ^ y for x, y in zip(a, c)))
-        assert combine(a_xor_c, b) == combine(a, b) ^ combine(c, zero)
+    wa, wb, wc = ([rng.randrange(2**32) for _ in range(2_000)] for _ in range(3))
+    a_xor_c = [a ^ c for a, c in zip(wa, wc)]
+    want = bytes(x ^ y for x, y in zip(fold_pairs(wa, wb), fold_pairs(wc, [0] * 2_000)))
+    assert fold_pairs(a_xor_c, wb) == want
 
 
 def folds_reference(words):
@@ -206,19 +184,19 @@ class TestKeystreamGenerator:
     def test_identical_generators_cancel(self):
         gen = KeystreamGenerator(BernoulliGenerator(123, 170),
                                  BernoulliGenerator(123, 170))
-        assert all(gen.next_byte() == 0 for _ in range(100))
+        assert gen.read(100) == bytes(100)
 
     def test_first_byte_matches_simulation_parameters(self):
         gen = KeystreamGenerator.from_key(SIM_KEY)
         expected = keystream_reference(0xAAAAAAAA, 0xAA, 0xBBBBBBBB, 0xBB, 1)
-        first = gen.next_byte()
+        first = gen.read(1)[0]
         assert first == expected[0]
         assert first == 0x70  # frozen from the arithmetic oracle
 
     def test_each_byte_advances_both_generators_once(self):
         gen = KeystreamGenerator.from_key(SIM_KEY)
-        gen.next_byte()
-        gen.next_byte()
+        gen.read(1)
+        gen.read(1)
         twin_a = BernoulliGenerator(SIM_KEY.seed1, SIM_KEY.mu1)
         twin_a.iterate(2)
         assert gen.gen_a.x == twin_a.x
@@ -232,16 +210,16 @@ class TestKeystreamGenerator:
         twin_b.iterate(777)
         assert gen.gen_a.x == twin_a.x
         assert gen.gen_b.x == twin_b.x
-        assert gen.gen_a.started and gen.gen_b.started
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 65, 1000])
     def test_read_equals_repeated_next_byte(self, n):
+        # one read, n one-byte reads and the byte-at-a-time oracle agree
         bulk = KeystreamGenerator.from_key(SIM_KEY)
         single = KeystreamGenerator.from_key(SIM_KEY)
-        assert bulk.read(n) == bytes(single.next_byte() for _ in range(n))
-        assert bulk.gen_a.x == single.gen_a.x
-        assert bulk.gen_b.x == single.gen_b.x
-        assert bulk.gen_a.started == single.gen_a.started == (n > 0)
+        want = keystream_reference(SIM_KEY.seed1, SIM_KEY.mu1, SIM_KEY.seed2, SIM_KEY.mu2, n)
+        assert bulk.read(n) == b"".join(single.read(1) for _ in range(n)) == want
+        assert bulk.gen_a.x == single.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, n)
+        assert bulk.gen_b.x == single.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, n)
 
     def test_state_after_read_past_both_cycles(self):
         gen = KeystreamGenerator.from_key(SIM_KEY)
@@ -249,17 +227,18 @@ class TestKeystreamGenerator:
         assert sum(SIM_ORBIT_A) < SIM_LONG and sum(SIM_ORBIT_B) < SIM_LONG
         assert gen.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, SIM_LONG)
         assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, SIM_LONG)
-        assert gen.gen_a.started and gen.gen_b.started
 
     def test_mixing_read_next_byte_and_iterate_stays_in_lockstep(self):
         gen = KeystreamGenerator.from_key(SIM_KEY)
         head = gen.read(TABLE_THRESHOLD + 1000)
         recorded = list(gen._orbits)
-        mixed = bytes(gen.next_byte() for _ in range(3)) + gen.read(500)
-        # next_byte() moved both generators off their tables: recorded again
+        # iterate() moves both generators off their tables: recorded again
+        gen.gen_a.iterate(3)
+        gen.gen_b.iterate(3)
+        mixed = gen.read(500)
         assert all(new is not old for new, old in zip(gen._orbits, recorded))
         recorded = list(gen._orbits)
-        # iterate() advances the raw generators; the next read picks up there
+        # and again between two reads from the new tables
         gen.gen_a.iterate(7)
         gen.gen_b.iterate(7)
         tail = gen.read(2000)
@@ -268,7 +247,8 @@ class TestKeystreamGenerator:
         tail += gen.read(3000)
         assert all(new is old for new, old in zip(gen._orbits, recorded))
         want = keystream_bytes(SIM_KEY, len(head) + 503 + 7 + 5000)
-        assert head + mixed == want[:len(head) + 503]
+        assert head == want[:len(head)]
+        assert mixed == want[len(head) + 3:len(head) + 503]
         assert tail == want[len(head) + 510:]
         n = len(want)
         assert gen.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, n)
@@ -462,7 +442,6 @@ def test_table_path_from_the_first_byte(monkeypatch):
     monkeypatch.setattr(keystream, "TABLE_THRESHOLD", 0)
     gen = KeystreamGenerator.from_key(SIM_KEY)
     assert gen.read(1) == want[:1]
-    assert gen.gen_a.started and gen.gen_b.started
     assert all(isinstance(o, keystream._Orbit) for o in gen._orbits)
     assert gen.read(4999) == want[1:]
     assert gen.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, 5000)
@@ -480,7 +459,6 @@ def test_orbit_over_the_cap_stays_on_the_scalar_loop(monkeypatch):
     assert got == want
     assert gen.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, SIM_LONG)
     assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, SIM_LONG)
-    assert gen.gen_a.started and gen.gen_b.started
 
 
 def test_keystream_bytes_propagates_key_validation():

@@ -14,14 +14,13 @@ from oracles import advance, keystream_reference
 
 SUBMODULES = ("analysis", "cipher", "keystream", "prng", "stats")
 PUBLIC = """
-    ALPHA BernoulliGenerator BifurcationRecord ByteQuad CipherIOError CipherKey
+    ALPHA BernoulliGenerator BifurcationRecord CipherIOError CipherKey
     CycleResult DegenerateKeyError KeyFormatError KeystreamGenerator MU_MAX
     TestReport WORD_BITS WORD_MASK WeakMuError bifurcation_scan bits_from_bytes
-    block_frequency_test byte_section combine coverage cusum_test cycle_length
+    block_frequency_test byte_section coverage cusum_test cycle_length
     decrypt_bytes decrypt_stream encrypt_bytes encrypt_stream fft_test
     frequency_test generalization_factor generate_key keystream_bytes
-    max_step_value parse_key reassemble run_suite runs_test split_half
-    split_word step step_reference write_bifurcation_csv
+    max_step_value parse_key run_suite runs_test step write_bifurcation_csv
 """.split()
 
 

@@ -3,10 +3,9 @@ import random
 import pytest
 
 from bernstream.prng import (MU_MAX, WORD_MASK, BernoulliGenerator,
-                             generalization_factor, max_step_value, step,
-                             step_reference)
+                             generalization_factor, max_step_value, step)
 
-from oracles import advance, orbit_reference
+from oracles import advance, orbit_reference, step_reference
 
 DEMO_SEED = 2863311530  # 0xAAAAAAAA
 DEMO_MU = 170           # 0xAA, i.e. mu = 0.6640625
@@ -94,7 +93,6 @@ class TestBernoulliGenerator:
         gen = BernoulliGenerator(DEMO_SEED, DEMO_MU)
         assert gen.x == DEMO_SEED
         assert gen.mu == DEMO_MU
-        assert not gen.started
 
     def test_degenerate_parameters_are_legal_here(self):
         # key-level validation lives in the cipher module, not this one
@@ -110,23 +108,15 @@ class TestBernoulliGenerator:
 
     def test_first_output_is_step_of_seed_not_seed(self):
         gen = BernoulliGenerator(DEMO_SEED, DEMO_MU)
-        first = gen.next_word()
+        [first] = gen.iterate(1)
         assert first == 1672129193
         assert first != DEMO_SEED
-        assert gen.started
-
-    def test_started_flag_never_reverts(self):
-        gen = BernoulliGenerator(0, 170)
-        gen.next_word()
-        for _ in range(10):
-            gen.next_word()
-            assert gen.started
+        assert gen.x == first
 
     def test_two_calls_compose(self):
         gen = BernoulliGenerator(2**31, 170)
-        first = gen.next_word()
-        assert first == 721420288
-        assert gen.next_word() == step(721420288, 170)
+        assert gen.iterate(1) == [721420288]
+        assert gen.iterate(1) == [step(721420288, 170)]
 
     def test_determinism_across_instances(self):
         a = BernoulliGenerator(987654321, 201)
@@ -137,7 +127,6 @@ class TestBernoulliGenerator:
         gen = BernoulliGenerator(42, 170)
         assert gen.iterate(0) == []
         assert gen.x == 42
-        assert not gen.started
 
     def test_iterate_single(self):
         gen = BernoulliGenerator(DEMO_SEED, DEMO_MU)
@@ -154,14 +143,14 @@ class TestBernoulliGenerator:
         assert split.x == whole.x
 
     def test_iterate_matches_next_word(self):
+        # the next word, one oracle step at a time, on random seeds and mu
         rng = random.Random(31)
         for _ in range(20):
             seed = rng.randrange(2**32)
             mu = rng.randrange(256)
             bulk = BernoulliGenerator(seed, mu)
-            single = BernoulliGenerator(seed, mu)
-            assert bulk.iterate(97) == [single.next_word() for _ in range(97)]
-            assert bulk.x == single.x
+            assert bulk.iterate(97) == orbit_reference(seed, mu, 97)
+            assert bulk.x == advance(seed, mu, 97)
 
     def test_iterate_matches_reference_orbit(self):
         gen = BernoulliGenerator(DEMO_SEED, DEMO_MU)
