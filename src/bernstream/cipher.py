@@ -160,9 +160,10 @@ def _write_all(dst, data: bytes, offset: int) -> None:
 
 
 def encrypt_bytes(key: CipherKey, data: bytes, allow_weak_mu: bool = False) -> bytes:
-    """XOR data with the key's keystream. Output length equals input length."""
+    """XOR data, any C-contiguous bytes-like read by its bytes, with the
+    key's keystream. Output length equals the input's length in bytes."""
     gen = KeystreamGenerator.from_key(key, allow_weak_mu=allow_weak_mu)
-    return gen.read(len(data), data)
+    return gen.read(memoryview(data).nbytes, data)
 
 
 def encrypt_stream(key: CipherKey, src, dst, allow_weak_mu: bool = False,

@@ -19,8 +19,8 @@ from contextlib import contextmanager
 from .analysis import (DEFAULT_MAX_STEPS, DEFAULT_SAMPLES, DEFAULT_TRANSIENT,
                        bifurcation_sections, cycle_length,
                        write_bifurcation_sections)
-from .cipher import (DEFAULT_CHUNK_SIZE, DegenerateKeyError, KeyFormatError,
-                     encrypt_stream, generate_key, parse_key)
+from .cipher import (DEFAULT_CHUNK_SIZE, DegenerateKeyError, encrypt_stream,
+                     generate_key, parse_key)
 from .keystream import KeystreamGenerator
 
 EXIT_OK = 0
@@ -235,13 +235,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except KeyFormatError as exc:
-        print(f"bernstream: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DegenerateKeyError as exc:
         print(f"bernstream: error: {exc}", file=sys.stderr)
         return EXIT_BAD_KEY
-    except ValueError as exc:
+    except ValueError as exc:  # KeyFormatError among them
         print(f"bernstream: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

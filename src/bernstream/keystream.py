@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from array import array
 
-from .prng import CYCLE_BLOCK, BernoulliGenerator, find_cycle
+from .prng import BernoulliGenerator, find_cycle
 
 
 # read() steps both generators with iterate() until a read reaches
@@ -22,10 +22,10 @@ TABLE_THRESHOLD = 64 * 1024
 # close within about 3e5 words; weak-mu orbits are not bounded in principle,
 # so one that has not closed by the cap stays on iterate().
 TABLE_CAP = 1 << 20
-# Words folded and served per block; orbits are recorded in CYCLE_BLOCK
-# words. It keeps each big int of _fold small enough to stay in cache:
-# folding 2^20 words at once costs twice as much per word.
-_BLOCK = 1 << 14
+# Bytes per window of read(), and words per piece in which an orbit is
+# folded. It keeps each big int small enough to stay in cache: 2^16 words
+# fold at 11-18 ns a word, like 2^14, and 2^20 words at 19-21 ns.
+_BLOCK = 1 << 16
 
 
 def _fold(*arrays: array) -> bytes:
@@ -53,21 +53,15 @@ def _fold(*arrays: array) -> bytes:
     return m.to_bytes(4 * len(words), "little")[::4]
 
 
-def _xor_bytes(a, b) -> bytes:
-    """Bytewise XOR of two bytes-like objects of equal length, as bytes."""
-    n = len(a)
-    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(n, "little")
-
-
 class _Orbit:
     """A generator's orbit recorded from state x, and its folded bytes.
 
     words[i] is the state i + 1 steps after x. From index `tail` on the
     orbit repeats every `period` words, so the array holds tail + period
     distinct words. seq holds their folds: the tail's, then the cycle's,
-    repeated until they cover period + _BLOCK bytes. Every window of at
-    most _BLOCK bytes that starts at or before tail + period is then one
-    slice of seq, even for periods shorter than a block.
+    repeated until they cover period + _BLOCK bytes. Every window of
+    read(), at most _BLOCK bytes, that starts at or before tail + period
+    is then one slice of seq, even for periods shorter than a window.
     """
 
     __slots__ = ("words", "seq", "tail", "period", "pos", "x")
@@ -86,12 +80,13 @@ class _Orbit:
     def record(cls, x: int, mu: int) -> "_Orbit | None":
         """Step from x until a word repeats; None if TABLE_CAP words do not close.
 
-        prng.find_cycle keeps every word it steps, in blocks of CYCLE_BLOCK,
-        and places tail and period from x. words[0] is one step after x, so
-        the table's tail is one word shorter, unless x lies on the cycle.
+        prng.find_cycle keeps every word it steps, in its own closure
+        blocks, and places tail and period from x. words[0] is one step
+        after x, so the table's tail is one word shorter, unless x lies on
+        the cycle.
         """
         words = array("I")
-        tail, period, _ = find_cycle(x, mu, TABLE_CAP, CYCLE_BLOCK, words)
+        tail, period, _ = find_cycle(x, mu, TABLE_CAP, words)
         if period is None:
             return None
         tail = max(tail - 1, 0)
@@ -136,43 +131,40 @@ class KeystreamGenerator:
                    BernoulliGenerator(key.seed2, key.mu2))
 
     def read(self, n: int, data=None) -> bytes:
-        """Produce the next n keystream bytes; or, given `data`, n
-        bytes-like, data XOR those keystream bytes.
+        """Produce the next n keystream bytes; or, given `data`, data XOR
+        those bytes. data may be any C-contiguous bytes-like object of n
+        bytes, and is read by its bytes, whatever its item size.
 
-        While the bytes that read() has served stay below TABLE_THRESHOLD,
-        they come from one iterate() call per generator, and one fold of
-        both generators' words. From the read that reaches the
-        threshold on, they come from each generator's recorded orbit:
-        every orbit of the 32-bit map is eventually periodic, so it is
-        stepped once, from that read's first word, until it closes, and
-        its words are folded once. The read is then served in windows of
-        4 * _BLOCK bytes, so its memory does not grow with n beyond the
-        output. In each window, each generator's folded bytes are sliced,
-        _BLOCK bytes at most per slice, joined and read as one int, XORed
-        with the other generator's and with data's, and written out by one
-        to_bytes. Either way, afterwards both generators hold the state
-        that n steps reach.
+        The read runs in windows of _BLOCK (64 KiB) bytes, so its memory
+        does not grow with n beyond the output. Each window's keystream is
+        one int, XORed with data's bytes in the window and written out by
+        one to_bytes. While the bytes that read() has served stay below
+        TABLE_THRESHOLD, that int is one fold of both generators' words,
+        from one iterate() call each. From the read that reaches the
+        threshold on, it is the XOR of one slice of each generator's
+        recorded orbit: every orbit of the 32-bit map is eventually
+        periodic, so it is stepped once, from that read's first word, until
+        it closes, and its words are folded once. Either way, afterwards
+        both generators hold the state that n steps reach.
         """
         if n < 0:
             raise ValueError(f"byte count must be >= 0: {n!r}")
-        if data is not None and len(data) != n:
-            raise ValueError(f"data must hold {n} bytes, not {len(data)}")
-        if n == 0:
-            return b""
+        view = None if data is None else memoryview(data).cast("B")
+        if view is not None and view.nbytes != n:
+            raise ValueError(f"data must hold {n} bytes, not {view.nbytes}")
         self._served += n
-        if self._served < TABLE_THRESHOLD:
-            folded = _fold(array("I", self.gen_a.iterate(n)),
-                           array("I", self.gen_b.iterate(n)))
-            return folded if data is None else _xor_bytes(data, folded)
-        view = None if data is None else memoryview(data)
-        window = 4 * _BLOCK
+        stepped = self._served < TABLE_THRESHOLD
         out = []
-        for start in range(0, n, window):
-            size = min(window, n - start)
-            m = 0 if view is None else int.from_bytes(view[start:start + size], "little")
-            for k in (0, 1):
-                slices = [self._folded(k, min(_BLOCK, size - i)) for i in range(0, size, _BLOCK)]
-                m ^= int.from_bytes(b"".join(slices), "little")
+        for start in range(0, n, _BLOCK):
+            size = min(_BLOCK, n - start)
+            if stepped:
+                m = int.from_bytes(_fold(array("I", self.gen_a.iterate(size)),
+                                         array("I", self.gen_b.iterate(size))), "little")
+            else:
+                m = (int.from_bytes(self._folded(0, size), "little")
+                     ^ int.from_bytes(self._folded(1, size), "little"))
+            if view is not None:
+                m ^= int.from_bytes(view[start:start + size], "little")
             out.append(m.to_bytes(size, "little"))
         return b"".join(out)
 

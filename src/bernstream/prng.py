@@ -106,19 +106,19 @@ class BernoulliGenerator:
 
 
 # Words per block of find_cycle, for analysis.cycle_length and the
-# keystream's recorded orbits. A closure steps less than two blocks past
-# tail + period, three with a replay, so a smaller block oversteps less;
-# it costs one mark and one set() per block.
+# keystream's recorded orbits, which take it from here alone. A closure
+# steps less than two blocks past tail + period, three with a replay, so a
+# smaller block oversteps less; it costs one mark and one set() per block.
 CYCLE_BLOCK = 4096
 
 
-def find_cycle(x: int, mu: int, max_steps: int, block: int,
+def find_cycle(x: int, mu: int, max_steps: int,
                words: array | None = None) -> tuple[int | None, int | None, int]:
     """Tail and minimal period of the orbit from x, in a single pass, and
     the number of steps taken: (tail, period, steps).
 
     Let x_0 = x and x_i be the state i steps on. The orbit is stepped
-    with BernoulliGenerator.iterate in blocks of `block` words, and the
+    with BernoulliGenerator.iterate in blocks of CYCLE_BLOCK words, and the
     state at each block start is kept as a mark. The first word x_e that
     equals a mark or an earlier word of its own block closes the search:
     its earlier occurrence x_o lies on the cycle and recurs for the first
@@ -130,7 +130,8 @@ def find_cycle(x: int, mu: int, max_steps: int, block: int,
     the tail is placed from those. Without, only the marks and the last
     two blocks are kept; when those do not hold the words after s, they
     are replayed from that mark, o - s steps that count against the
-    budget. Memory then grows with max_steps / block, the number of marks.
+    budget. Memory then grows with max_steps / CYCLE_BLOCK, the number of
+    marks.
 
     Every map evaluation counts against `max_steps`, so steps <=
     max_steps, and steps exceeds tail + period by less than three blocks.
@@ -141,7 +142,7 @@ def find_cycle(x: int, mu: int, max_steps: int, block: int,
     prev, steps = [], 0
     while steps < max_steps:
         base = steps  # chunk holds x_{base+1} .. x_{steps}
-        chunk = gen.iterate(min(block, max_steps - steps))
+        chunk = gen.iterate(min(CYCLE_BLOCK, max_steps - steps))
         steps += len(chunk)
         if words is not None:
             words.fromlist(chunk)
@@ -159,7 +160,7 @@ def find_cycle(x: int, mu: int, max_steps: int, block: int,
         period = e - o
         if o == 0:
             return 0, period, steps
-        s = (o - 1) // block * block
+        s = (o - 1) // CYCLE_BLOCK * CYCLE_BLOCK
         n = o - s
         if words is not None:
             recent, lo = words, 0  # x_1 .. x_{steps}
@@ -171,7 +172,7 @@ def find_cycle(x: int, mu: int, max_steps: int, block: int,
         elif steps + n > max_steps:
             break
         else:
-            mark = list(marks)[s // block]
+            mark = list(marks)[s // CYCLE_BLOCK]
             earlier = BernoulliGenerator(mark, mu).iterate(n)
             steps += n
         i = next(i for i, (a, b) in enumerate(zip(earlier, later)) if a == b)

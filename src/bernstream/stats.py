@@ -9,8 +9,8 @@ Bits derive from bytes most-significant-bit first.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from math import erfc, floor, isqrt, log, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,15 +29,14 @@ SUITE_TESTS = ("frequency", "block_frequency", "runs",
                "cumulative_sums_forward", "cumulative_sums_reverse", "fft")
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(NamedTuple):
     """Outcome of one randomness test."""
 
     test: str
     statistic: float
     p_value: float
     passed: bool
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def to_json_dict(self) -> dict:
         return {"test": self.test, "statistic": self.statistic,

@@ -47,6 +47,11 @@ def xor_parity_byte(values):
     return out
 
 
+def xor_reference(a, b):
+    """Bytewise XOR of two byte sequences of equal length, one byte at a time."""
+    return bytes(x ^ y for x, y in zip(a, b, strict=True))
+
+
 def orbit_reference(seed, mu, n):
     """First n output words from a seed, by repeated step_reference."""
     x = seed

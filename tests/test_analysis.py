@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bernstream import analysis
+from bernstream import analysis, prng
 from bernstream.analysis import (CYCLE_BLOCK, BifurcationRecord, bifurcation_scan,
                                  bifurcation_sections, byte_section, coverage,
                                  cycle_length, write_bifurcation_csv,
@@ -238,7 +238,7 @@ CYCLE_CASES = [
 @pytest.mark.parametrize("name, block, orbit, tail", CYCLE_CASES,
                          ids=[c[0] for c in CYCLE_CASES])
 def test_single_pass_agrees_with_visited_set(monkeypatch, name, block, orbit, tail):
-    monkeypatch.setattr(analysis, "CYCLE_BLOCK", block)
+    monkeypatch.setattr(prng, "CYCLE_BLOCK", block)
     seed, mu = with_tail(orbit, tail)
     period = orbit[3]
     assert cycle_visited(seed, mu, 40_000) == (tail, period)
@@ -261,7 +261,7 @@ def test_budget_at_the_recurrence_and_the_replay(monkeypatch, block, orbit, tail
     # Blocks are stepped whole unless the budget cuts them, so a result
     # that needs a replay needs the budget of the block that holds e,
     # plus the replay; one that needs none is found with a budget of e.
-    monkeypatch.setattr(analysis, "CYCLE_BLOCK", block)
+    monkeypatch.setattr(prng, "CYCLE_BLOCK", block)
     seed, mu = with_tail(orbit, tail)
     e, replay = first_recurrence(tail, orbit[3], block)
     end = -(-e // block) * block

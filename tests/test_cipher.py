@@ -1,6 +1,7 @@
 import io
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,10 @@ from bernstream.cipher import (CipherIOError, CipherKey, DegenerateKeyError,
                                KeyFormatError, WeakMuError, decrypt_bytes,
                                decrypt_stream, encrypt_bytes, encrypt_stream,
                                generate_key, parse_key)
-from bernstream.keystream import KeystreamGenerator, _xor_bytes, keystream_bytes
+from bernstream.keystream import TABLE_THRESHOLD, KeystreamGenerator, keystream_bytes
 from bernstream.prng import BernoulliGenerator
 
-from oracles import advance, keystream_reference
+from oracles import advance, keystream_reference, xor_reference
 
 GOOD_KEY = parse_key("AAAAAAAAAABBBBBBBBBB")
 
@@ -212,8 +213,8 @@ class TestEncrypt:
                               chunk_size=chunk_size) == STREAM_BYTES
         out = dst.getvalue()
         for start, ks in keystream_windows:
-            assert out[start:start + len(ks)] == _xor_bytes(plain[start:start + len(ks)], ks)
-        assert out == _xor_bytes(plain, keystream_bytes(GOOD_KEY, STREAM_BYTES))
+            assert out[start:start + len(ks)] == xor_reference(plain[start:start + len(ks)], ks)
+        assert out == xor_reference(plain, keystream_bytes(GOOD_KEY, STREAM_BYTES))
 
     def test_one_long_call_holds_about_two_copies(self):
         # one call of 4 MiB + 12,345 bytes is read in 64 KiB windows: its peak
@@ -347,12 +348,36 @@ class TestEncrypt:
 ], ids=["empty", "one byte", "one byte to zero", "all zero result", "leading zeros",
         "trailing zeros", "high bit", "every byte value"])
 def test_xor_bytes(a, b):
-    want = bytes(x ^ y for x, y in zip(a, b))
-    for kind_a in (bytes, bytearray, memoryview):
-        for kind_b in (bytes, bytearray, memoryview):
-            got = _xor_bytes(kind_a(a), kind_b(b))
-            assert type(got) is bytes
-            assert got == want
+    # read(n, data) XORs a and then b with the keystream, for every pairing of
+    # bytes-like kinds; on short reads, and on reads past TABLE_THRESHOLD,
+    # which the recorded orbits serve. This key's orbits close within 1,561
+    # and 1,078 words, so recording them is quick.
+    key = parse_key("A6A3A450816CAD4A2682")
+    kinds = (bytes, bytearray, memoryview)
+    for skip in (0, TABLE_THRESHOLD):
+        ks = keystream_bytes(key, skip + 10 * (len(a) + len(b)))
+        gen = KeystreamGenerator.from_key(key)
+        pos = len(gen.read(skip))
+        for kind_a in kinds:
+            for kind_b in kinds:
+                for data, kind in ((a, kind_a), (b, kind_b)):
+                    got = gen.read(len(data), kind(data))
+                    assert type(got) is bytes
+                    assert got == xor_reference(data, ks[pos:pos + len(data)])
+                    pos += len(data)
+        # data equal to the keystream XORs to zeros, which keep their full length
+        for data in (a, b):
+            assert gen.read(len(data), ks[pos:pos + len(data)]) == bytes(len(data))
+            pos += len(data)
+        assert pos == len(ks)
+
+
+@pytest.mark.parametrize("words", [
+    [5, 0], [0x01020304, 0], random.Random(30_000).choices(range(2**32), k=30_000),
+], ids=["high bytes zero", "low byte set", "past the table threshold"])
+def test_encrypt_bytes_reads_wide_items_by_their_bytes(words):
+    data = array("I", words)
+    assert encrypt_bytes(GOOD_KEY, data) == encrypt_bytes(GOOD_KEY, bytes(data))
 
 
 def test_generate_key_never_emits_invalid_keys():

@@ -1,18 +1,18 @@
 import random
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernstream import keystream
+from bernstream import keystream, prng
 from bernstream.cipher import CipherKey, DegenerateKeyError, parse_key
-from bernstream.keystream import (TABLE_THRESHOLD, KeystreamGenerator, _xor_bytes,
-                                  keystream_bytes)
+from bernstream.keystream import TABLE_THRESHOLD, KeystreamGenerator, keystream_bytes
 from bernstream.prng import BernoulliGenerator, find_cycle
 
 from oracles import (advance, cycle_visited, keystream_reference, orbit_reference,
-                     split_word_arith, xor_parity_byte)
+                     split_word_arith, xor_parity_byte, xor_reference)
 
 SIM_KEY = CipherKey(seed1=0xAAAAAAAA, mu1=0xAA, seed2=0xBBBBBBBB, mu2=0xBB)
 # (tail, period) of SIM_KEY's two orbits, from the seed, in steps.
@@ -138,8 +138,10 @@ def test_combine_xor_linearity():
 
 
 def folds_reference(words):
-    """Each word's four byte sections XORed, from the arithmetic oracles."""
-    return bytes(xor_parity_byte(split_word_arith(w)) for w in words)
+    """Each word's four byte sections XORed, from the arithmetic oracles,
+    applied elementwise to the words as one numpy array."""
+    folded = xor_parity_byte(split_word_arith(np.array(words, dtype=np.int64)))
+    return np.asarray(folded, dtype=np.uint8).tobytes()
 
 
 # Words whose set bits sit at the edges of a word, where the big-int fold
@@ -155,8 +157,9 @@ def test_fold_edge_words(words):
     assert keystream._fold(array("I", words)) == folds_reference(words)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, keystream._BLOCK - 1, keystream._BLOCK,
-                               keystream._BLOCK + 1])
+# either side of a 2**14-word fold and of a _BLOCK (2**16-word) one
+@pytest.mark.parametrize("n", [1, 2, 3, 2**14 - 1, 2**14, 2**14 + 1, keystream._BLOCK - 1,
+                               keystream._BLOCK, keystream._BLOCK + 1])
 def test_fold_lengths(n):
     rng = random.Random(n)
     words = [rng.choice(EDGE_WORDS + [rng.randrange(2**32)]) for _ in range(n)]
@@ -287,7 +290,7 @@ class TestKeystreamGenerator:
         for orbit, (tail, period) in zip(gen._orbits, [SIM_ORBIT_A, SIM_ORBIT_B]):
             assert (orbit.tail, orbit.period) == (tail - 1, period)
         # each closure steps less than two closure blocks past its tail + period
-        assert sum(stepped) < sum(SIM_ORBIT_A) + sum(SIM_ORBIT_B) + 4 * keystream.CYCLE_BLOCK
+        assert sum(stepped) < sum(SIM_ORBIT_A) + sum(SIM_ORBIT_B) + 4 * prng.CYCLE_BLOCK
         assert gen.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, TABLE_THRESHOLD)
         assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, TABLE_THRESHOLD)
 
@@ -361,7 +364,7 @@ def test_recorded_orbit_matches_oracle(seed, mu):
 @pytest.mark.parametrize("blocks_per_period", [1, 2, 3])
 def test_periods_that_are_multiples_of_the_block_close(monkeypatch, blocks_per_period):
     seed, mu, tail, period = SHORT_PERIOD
-    monkeypatch.setattr(keystream, "CYCLE_BLOCK", period // blocks_per_period)
+    monkeypatch.setattr(prng, "CYCLE_BLOCK", period // blocks_per_period)
     # from 10 steps before the cycle, the table's tail is 9 words
     orbit = keystream._Orbit.record(advance(seed, mu, tail - 10), mu)
     assert (orbit.tail, orbit.period) == (9, period)
@@ -378,9 +381,8 @@ def test_bulk_encrypt_orbits_close_within_two_closure_blocks():
     steps = visited = 0
     for key in map(parse_key, BULK_KEYS):
         for seed, mu in ((key.seed1, key.mu1), (key.seed2, key.mu2)):
-            tail, period, n = find_cycle(seed, mu, keystream.TABLE_CAP,
-                                         keystream.CYCLE_BLOCK, array("I"))
-            assert tail + period <= n < tail + period + 2 * keystream.CYCLE_BLOCK
+            tail, period, n = find_cycle(seed, mu, keystream.TABLE_CAP, array("I"))
+            assert tail + period <= n < tail + period + 2 * prng.CYCLE_BLOCK
             steps, visited = steps + n, visited + tail + period
     assert visited == 535_094
     assert steps == 565_248
@@ -394,7 +396,7 @@ def assert_fused_reads_exact(key, orbits, n):
     cuts = table_cuts(orbits, n)
     for a, b in zip([0] + cuts, cuts):
         chunk = plain[a:b]
-        assert fused.read(b - a, chunk) == _xor_bytes(chunk, unfused.read(b - a))
+        assert fused.read(b - a, chunk) == xor_reference(chunk, unfused.read(b - a))
     assert (fused.gen_a.x, fused.gen_b.x) == (unfused.gen_a.x, unfused.gen_b.x)
     return fused
 
@@ -418,7 +420,7 @@ def test_fused_read_matches_xor_on_periods_1_and_2():
 @pytest.mark.parametrize("n", [0, 1, 1000, TABLE_THRESHOLD + 1000])
 def test_fused_read_takes_any_bytes_like(n):
     plain = random.Random(n).randbytes(n)
-    want = _xor_bytes(plain, keystream_bytes(SIM_KEY, n))
+    want = xor_reference(plain, keystream_bytes(SIM_KEY, n))
     for kind in (bytes, bytearray, memoryview):
         got = KeystreamGenerator.from_key(SIM_KEY).read(n, kind(plain))
         assert type(got) is bytes
@@ -435,6 +437,14 @@ def test_fused_read_rejects_data_of_another_length(n, size):
     # nothing was stepped
     assert (gen.gen_a.x, gen.gen_b.x) == (SIM_KEY.seed1, SIM_KEY.seed2)
     assert gen.read(10) == keystream_bytes(SIM_KEY, 10)
+
+
+def test_fused_read_counts_data_in_bytes():
+    # two 4-byte items are 8 bytes, not 2
+    gen = KeystreamGenerator.from_key(SIM_KEY)
+    with pytest.raises(ValueError, match="data must hold 2 bytes, not 8"):
+        gen.read(2, array("I", [5, 0]))
+    assert (gen.gen_a.x, gen.gen_b.x) == (SIM_KEY.seed1, SIM_KEY.seed2)
 
 
 def test_table_path_from_the_first_byte(monkeypatch):
