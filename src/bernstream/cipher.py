@@ -129,14 +129,10 @@ def generate_key() -> CipherKey:
     import secrets  # here, not at module level: only keygen needs it
 
     while True:
-        raw = secrets.token_bytes(10)
-        key = CipherKey(seed1=int.from_bytes(raw[0:4], "big"), mu1=raw[4],
-                        seed2=int.from_bytes(raw[5:9], "big"), mu2=raw[9])
         try:
-            key.validate()
+            return parse_key(secrets.token_hex(KEY_HEX_LEN // 2))
         except DegenerateKeyError:
             continue
-        return key
 
 
 def _write_all(dst, data: bytes, offset: int) -> None:
@@ -166,23 +162,22 @@ def encrypt_bytes(key: CipherKey, data: bytes, allow_weak_mu: bool = False) -> b
     return gen.read(memoryview(data).nbytes, data)
 
 
-def encrypt_stream(key: CipherKey, src, dst, allow_weak_mu: bool = False,
-                   chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
+def encrypt_stream(key: CipherKey, src, dst, allow_weak_mu: bool = False) -> int:
     """XOR src into dst in chunks; returns the byte count processed.
 
+    Each chunk is one src.read(DEFAULT_CHUNK_SIZE), which may return
+    fewer bytes, as a pipe does; the stream ends at the first empty read.
     Memory use is constant in the input size. The key is validated before
     anything is read or written. A sink that takes only part of a chunk
     per write(), as a raw unbuffered file may, gets the rest in further
     calls. I/O failures are re-raised as CipherIOError carrying the
     stream position.
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk size must be >= 1: {chunk_size!r}")
     gen = KeystreamGenerator.from_key(key, allow_weak_mu=allow_weak_mu)
     done = 0
     while True:
         try:
-            chunk = src.read(chunk_size)
+            chunk = src.read(DEFAULT_CHUNK_SIZE)
         except OSError as exc:
             raise CipherIOError(f"read failed at byte {done}: {exc}") from exc
         if not chunk:

@@ -14,13 +14,13 @@ from .prng import BernoulliGenerator, find_cycle
 
 
 # read() steps both generators with iterate() until a read reaches
-# TABLE_THRESHOLD bytes in all; from that read on, it serves each
-# generator from its recorded orbit. Below the threshold, recording costs
-# more than it saves.
+# TABLE_THRESHOLD bytes in all; from that read on, it serves both
+# generators from their recorded orbits. Below the threshold, recording
+# costs more than it saves.
 TABLE_THRESHOLD = 64 * 1024
 # Longest orbit, tail plus period in words, that is recorded. Strong orbits
 # close within about 3e5 words; weak-mu orbits are not bounded in principle,
-# so one that has not closed by the cap stays on iterate().
+# so once one has not closed by the cap, the stream stays on iterate().
 TABLE_CAP = 1 << 20
 # Bytes per window of read(), and words per piece in which an orbit is
 # folded. It keeps each big int small enough to stay in cache: 2^16 words
@@ -41,9 +41,9 @@ def _fold(*arrays: array) -> bytes:
     needed; and the XOR of a word's bytes does not depend on their order
     in memory.
 
-    XOR commutes, so fold(wa ^ wb) == fold(wa) ^ fold(wb): a short read
-    folds both generators' words at once, and a recorded orbit is folded
-    on its own and XORed with the other generator's folds.
+    XOR commutes, so fold(wa ^ wb) == fold(wa) ^ fold(wb): a stepped
+    window folds both generators' words at once, and a recorded orbit is
+    folded on its own and its slices XORed with the other orbit's.
     """
     m = 0
     for words in arrays:
@@ -58,10 +58,11 @@ class _Orbit:
 
     words[i] is the state i + 1 steps after x. From index `tail` on the
     orbit repeats every `period` words, so the array holds tail + period
-    distinct words. seq holds their folds: the tail's, then the cycle's,
-    repeated until they cover period + _BLOCK bytes. Every window of
-    read(), at most _BLOCK bytes, that starts at or before tail + period
-    is then one slice of seq, even for periods shorter than a window.
+    distinct words. seq holds their folds, made in _BLOCK-word pieces of
+    a view on words: the tail's, then the cycle's, repeated until they
+    cover period + _BLOCK bytes. Every window of read(), at most _BLOCK
+    bytes, that starts at or before tail + period is then one slice of
+    seq, even for periods shorter than a window.
     """
 
     __slots__ = ("words", "seq", "tail", "period", "pos", "x")
@@ -72,7 +73,8 @@ class _Orbit:
         self.period = period
         self.pos = 0  # index of the next word to serve
         self.x = x    # the generator state that precedes words[pos]
-        folded = b"".join([_fold(words[i:i + _BLOCK]) for i in range(0, tail + period, _BLOCK)])
+        view = memoryview(words)
+        folded = b"".join([_fold(view[i:i + _BLOCK]) for i in range(0, tail + period, _BLOCK)])
         cycle = folded[tail:]
         self.seq = folded[:tail] + (cycle * -(-(period + _BLOCK) // period))[:period + _BLOCK]
 
@@ -115,8 +117,9 @@ class KeystreamGenerator:
         self.gen_a = gen_a
         self.gen_b = gen_b
         self._served = 0  # bytes returned by read()
-        # Per generator: None until recorded, False if it overran TABLE_CAP.
-        self._orbits = [None, None]
+        # None until recorded, False once an orbit overran TABLE_CAP, else
+        # the pair of recorded orbits (a, b).
+        self._orbits = None
 
     @classmethod
     def from_key(cls, key, allow_weak_mu: bool = False) -> "KeystreamGenerator":
@@ -138,14 +141,16 @@ class KeystreamGenerator:
         The read runs in windows of _BLOCK (64 KiB) bytes, so its memory
         does not grow with n beyond the output. Each window's keystream is
         one int, XORed with data's bytes in the window and written out by
-        one to_bytes. While the bytes that read() has served stay below
-        TABLE_THRESHOLD, that int is one fold of both generators' words,
-        from one iterate() call each. From the read that reaches the
-        threshold on, it is the XOR of one slice of each generator's
-        recorded orbit: every orbit of the 32-bit map is eventually
-        periodic, so it is stepped once, from that read's first word, until
-        it closes, and its words are folded once. Either way, afterwards
-        both generators hold the state that n steps reach.
+        one to_bytes. Where that int comes from is decided once per read,
+        for both generators together. While the bytes that read() has
+        served stay below TABLE_THRESHOLD, or once an orbit has overrun
+        TABLE_CAP, it is one fold of both generators' words, from one
+        iterate() call each. Otherwise it is the XOR of one slice of each
+        generator's recorded orbit: every orbit of the 32-bit map is
+        eventually periodic, so it is stepped once, from the first word of
+        the read that reaches the threshold, until it closes, and its words
+        are folded once. Either way, afterwards both generators hold the
+        state that n steps reach.
         """
         if n < 0:
             raise ValueError(f"byte count must be >= 0: {n!r}")
@@ -153,38 +158,39 @@ class KeystreamGenerator:
         if view is not None and view.nbytes != n:
             raise ValueError(f"data must hold {n} bytes, not {view.nbytes}")
         self._served += n
-        stepped = self._served < TABLE_THRESHOLD
+        orbits = self._served >= TABLE_THRESHOLD and self._recorded()
         out = []
         for start in range(0, n, _BLOCK):
             size = min(_BLOCK, n - start)
-            if stepped:
+            if orbits:
+                m = (int.from_bytes(orbits[0].serve(size), "little")
+                     ^ int.from_bytes(orbits[1].serve(size), "little"))
+            else:
                 m = int.from_bytes(_fold(array("I", self.gen_a.iterate(size)),
                                          array("I", self.gen_b.iterate(size))), "little")
-            else:
-                m = (int.from_bytes(self._folded(0, size), "little")
-                     ^ int.from_bytes(self._folded(1, size), "little"))
             if view is not None:
                 m ^= int.from_bytes(view[start:start + size], "little")
             out.append(m.to_bytes(size, "little"))
+        if orbits:
+            self.gen_a.x, self.gen_b.x = orbits[0].x, orbits[1].x
         return b"".join(out)
 
-    def _folded(self, k: int, n: int) -> bytes:
-        """Folds of generator k's next n words (k = 0 for gen_a).
+    def _recorded(self) -> "tuple[_Orbit, _Orbit] | bool":
+        """Both generators' recorded orbits (a, b), or False if one overran
+        TABLE_CAP.
 
-        They come from the generator's recorded orbit, which is recorded
-        again whenever the generator's state is not the one the table left
-        it in, e.g. after iterate(). An orbit that overran TABLE_CAP is
-        stepped with iterate() and folded here.
+        Both are recorded again whenever either generator's state is not
+        the one the tables left it in, e.g. after iterate(); b is recorded
+        only if a closed. Once an orbit has overrun the cap, the stream
+        steps both generators for good.
         """
-        gen = (self.gen_a, self.gen_b)[k]
-        orbit = self._orbits[k]
-        if orbit is None or (orbit and orbit.x != gen.x):
-            orbit = self._orbits[k] = _Orbit.record(gen.x, gen.mu) or False
-        if not orbit:
-            return _fold(array("I", gen.iterate(n)))
-        folded = orbit.serve(n)
-        gen.x = orbit.x
-        return folded
+        a, b = self.gen_a, self.gen_b
+        orbits = self._orbits
+        if orbits is None or orbits and (orbits[0].x != a.x or orbits[1].x != b.x):
+            orbit_a = _Orbit.record(a.x, a.mu)
+            orbit_b = orbit_a and _Orbit.record(b.x, b.mu)
+            orbits = self._orbits = (orbit_a, orbit_b) if orbit_b else False
+        return orbits
 
 
 def keystream_bytes(key, n: int, allow_weak_mu: bool = False) -> bytes:

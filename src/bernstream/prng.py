@@ -90,8 +90,6 @@ class BernoulliGenerator:
         """
         if n < 0:
             raise ValueError(f"word count must be >= 0: {n!r}")
-        if n == 0:
-            return []
         # (2x mod 2**32)*mu >> 8 == (x mod 2**31)*mu >> 7; one op fewer
         # per step. This loop is the hot path for cycle searches and keystreams.
         x = self.x

@@ -25,9 +25,6 @@ _WALK_CHUNK = 1 << 16
 # bytes of float64 or complex128 data per block of either FFT stage
 _FFT_BLOCK_BYTES = 1 << 21
 
-SUITE_TESTS = ("frequency", "block_frequency", "runs",
-               "cumulative_sums_forward", "cumulative_sums_reverse", "fft")
-
 
 class TestReport(NamedTuple):
     """Outcome of one randomness test."""

@@ -1,5 +1,6 @@
 import io
 import random
+import secrets
 import tracemalloc
 from array import array
 
@@ -17,6 +18,17 @@ from bernstream.prng import BernoulliGenerator
 from oracles import advance, keystream_reference, xor_reference
 
 GOOD_KEY = parse_key("AAAAAAAAAABBBBBBBBBB")
+
+
+class Pipe(io.BytesIO):
+    """A source whose read(n) returns at most `most` bytes, as a pipe does."""
+
+    def __init__(self, data: bytes, most: int):
+        super().__init__(data)
+        self.most = most
+
+    def read(self, n: int) -> bytes:
+        return super().read(min(n, self.most))
 
 
 class TestParseKey:
@@ -139,6 +151,13 @@ STREAM_BYTES = 2 * 65536 + 12_345
 STREAM_EDGES = (0, 4095, 65535, 65537, 78_974, 131_072, 137_322, STREAM_BYTES)
 
 
+def assert_matches_the_oracle(keystream_windows, plain, out):
+    """out is plain XOR GOOD_KEY's keystream, in the oracle's windows and whole."""
+    for start, ks in keystream_windows:
+        assert out[start:start + len(ks)] == xor_reference(plain[start:start + len(ks)], ks)
+    assert out == xor_reference(plain, keystream_bytes(GOOD_KEY, STREAM_BYTES))
+
+
 @pytest.fixture(scope="module")
 def keystream_windows():
     """(start, bytes) windows of GOOD_KEY's keystream around STREAM_EDGES,
@@ -191,8 +210,8 @@ class TestEncrypt:
         rng = random.Random(0xC4C)
         for n in (0, 1, 1023, 1024, 1025, 5000):
             msg = rng.randbytes(n)
-            src, dst = io.BytesIO(msg), io.BytesIO()
-            processed = encrypt_stream(GOOD_KEY, src, dst, chunk_size=1024)
+            src, dst = Pipe(msg, 1024), io.BytesIO()
+            processed = encrypt_stream(GOOD_KEY, src, dst)
             assert processed == n
             assert dst.getvalue() == encrypt_bytes(GOOD_KEY, msg)
 
@@ -205,16 +224,17 @@ class TestEncrypt:
         decrypt_stream(GOOD_KEY, io.BytesIO(ct.getvalue()), pt)
         assert pt.getvalue() == msg
 
-    @pytest.mark.parametrize("chunk_size", [1, 4095, 65536, 65537])
-    def test_stream_chunks_match_the_oracle(self, keystream_windows, chunk_size):
-        plain = random.Random(chunk_size).randbytes(STREAM_BYTES)
+    @pytest.mark.parametrize("most", [1, 4095, 65536])
+    def test_stream_chunks_match_the_oracle(self, keystream_windows, most):
+        plain = random.Random(most).randbytes(STREAM_BYTES)
         dst = io.BytesIO()
-        assert encrypt_stream(GOOD_KEY, io.BytesIO(plain), dst,
-                              chunk_size=chunk_size) == STREAM_BYTES
-        out = dst.getvalue()
-        for start, ks in keystream_windows:
-            assert out[start:start + len(ks)] == xor_reference(plain[start:start + len(ks)], ks)
-        assert out == xor_reference(plain, keystream_bytes(GOOD_KEY, STREAM_BYTES))
+        assert encrypt_stream(GOOD_KEY, Pipe(plain, most), dst) == STREAM_BYTES
+        assert_matches_the_oracle(keystream_windows, plain, dst.getvalue())
+
+    def test_bytes_match_the_oracle(self, keystream_windows):
+        # one read spans every window of the stream
+        plain = random.Random(65537).randbytes(STREAM_BYTES)
+        assert_matches_the_oracle(keystream_windows, plain, encrypt_bytes(GOOD_KEY, plain))
 
     def test_one_long_call_holds_about_two_copies(self):
         # one call of 4 MiB + 12,345 bytes is read in 64 KiB windows: its peak
@@ -257,6 +277,8 @@ class TestEncrypt:
 
     def test_read_failure_carries_position(self):
         class FailsAfter:
+            """A source of at most 1024 bytes a read that fails after some reads."""
+
             def __init__(self, good_chunks):
                 self.remaining = good_chunks
 
@@ -264,11 +286,10 @@ class TestEncrypt:
                 if self.remaining == 0:
                     raise OSError("disk gone")
                 self.remaining -= 1
-                return b"x" * n
+                return b"x" * min(n, 1024)
 
         with pytest.raises(CipherIOError, match="at byte 2048"):
-            encrypt_stream(GOOD_KEY, FailsAfter(2), io.BytesIO(),
-                           chunk_size=1024)
+            encrypt_stream(GOOD_KEY, FailsAfter(2), io.BytesIO())
 
     def test_short_writes_are_completed(self):
         class Trickle:
@@ -286,7 +307,7 @@ class TestEncrypt:
 
         msg = random.Random(0x5407).randbytes(10_000)
         sink = Trickle()
-        assert encrypt_stream(GOOD_KEY, io.BytesIO(msg), sink, chunk_size=4096) == len(msg)
+        assert encrypt_stream(GOOD_KEY, Pipe(msg, 4096), sink) == len(msg)
         assert bytes(sink.data) == encrypt_bytes(GOOD_KEY, msg)
         assert sink.calls == 12  # 5 + 5 + 2 writes for chunks of 4096, 4096, 1808
 
@@ -314,7 +335,7 @@ class TestEncrypt:
 
         msg = random.Random(0xC011).randbytes(2500)
         sink = Collector()
-        encrypt_stream(GOOD_KEY, io.BytesIO(msg), sink, chunk_size=1000)
+        encrypt_stream(GOOD_KEY, Pipe(msg, 1000), sink)
         assert [len(c) for c in sink.chunks] == [1000, 1000, 500]
         assert b"".join(sink.chunks) == encrypt_bytes(GOOD_KEY, msg)
 
@@ -378,6 +399,16 @@ def test_xor_bytes(a, b):
 def test_encrypt_bytes_reads_wide_items_by_their_bytes(words):
     data = array("I", words)
     assert encrypt_bytes(GOOD_KEY, data) == encrypt_bytes(GOOD_KEY, bytes(data))
+
+
+def test_generate_key_draws_again_after_a_weak_key(monkeypatch):
+    draws = iter(["00000000010000000102", "AAAAAAAAAABBBBBBBBBB"])
+
+    def token_hex(nbytes):
+        assert nbytes == 10
+        return next(draws)
+    monkeypatch.setattr(secrets, "token_hex", token_hex)
+    assert generate_key() == GOOD_KEY
 
 
 def test_generate_key_never_emits_invalid_keys():

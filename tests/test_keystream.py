@@ -53,7 +53,7 @@ def scalar_keystream(monkeypatch, n, key=SIM_KEY):
         m.setattr(keystream, "TABLE_THRESHOLD", n + 1)
         gen = KeystreamGenerator.from_key(key, allow_weak_mu=True)
         out = gen.read(n)
-        assert gen._orbits == [None, None]
+        assert gen._orbits is None
     return out
 
 
@@ -267,7 +267,7 @@ class TestKeystreamGenerator:
             gen = KeystreamGenerator.from_key(SIM_KEY)
             out = b"".join(gen.read(k) for k in sizes)
         assert out == keystream_bytes(SIM_KEY, TABLE_THRESHOLD - 1)
-        assert gen._orbits == [None, None]
+        assert gen._orbits is None
         # the read that reaches the threshold records both orbits from its first word
         assert gen.read(1) == keystream_bytes(SIM_KEY, TABLE_THRESHOLD)[-1:]
         assert all(isinstance(o, keystream._Orbit) for o in gen._orbits)
@@ -402,11 +402,11 @@ def assert_fused_reads_exact(key, orbits, n):
 
 
 def test_fused_read_matches_xor_on_a_capped_orbit(monkeypatch):
-    # as in test_orbit_over_the_cap_stays_on_the_scalar_loop: a is capped
+    # as in test_orbit_over_the_cap_stays_on_the_scalar_loop: a is capped,
+    # so both generators are stepped
     monkeypatch.setattr(keystream, "TABLE_CAP", 1 << 17)
     gen = assert_fused_reads_exact(SIM_KEY, [SIM_ORBIT_A, SIM_ORBIT_B], SIM_LONG)
-    assert gen._orbits[0] is False
-    assert isinstance(gen._orbits[1], keystream._Orbit)
+    assert gen._orbits is False
 
 
 def test_fused_read_matches_xor_on_periods_1_and_2():
@@ -460,15 +460,32 @@ def test_table_path_from_the_first_byte(monkeypatch):
 
 def test_orbit_over_the_cap_stays_on_the_scalar_loop(monkeypatch):
     want = keystream_bytes(SIM_KEY, SIM_LONG)
-    # generator b closes within 2**17 words of the threshold; a does not
+    # generator b closes within 2**17 words of the threshold; a does not, so
+    # the stream steps both
     monkeypatch.setattr(keystream, "TABLE_CAP", 1 << 17)
     gen = KeystreamGenerator.from_key(SIM_KEY)
     got = b"".join(gen.read(50_000) for _ in range(SIM_LONG // 50_000))
-    assert gen._orbits[0] is False
-    assert isinstance(gen._orbits[1], keystream._Orbit)
+    assert gen._orbits is False
     assert got == want
     assert gen.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, SIM_LONG)
     assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, SIM_LONG)
+
+
+def test_capped_orbit_is_recorded_once_and_b_never(monkeypatch):
+    want = keystream_bytes(SIM_KEY, SIM_LONG)
+    monkeypatch.setattr(keystream, "TABLE_CAP", 1 << 17)
+    recorded = []
+    record = keystream._Orbit.record
+
+    def counted(x, mu):
+        recorded.append((x, mu))
+        return record(x, mu)
+    monkeypatch.setattr(keystream._Orbit, "record", counted)
+    gen = KeystreamGenerator.from_key(SIM_KEY)
+    assert b"".join(gen.read(50_000) for _ in range(SIM_LONG // 50_000)) == want
+    # a overran the cap at the read that reached the threshold, so b was
+    # never recorded, and no later read recorded either
+    assert recorded == [(advance(SIM_KEY.seed1, SIM_KEY.mu1, 50_000), SIM_KEY.mu1)]
 
 
 def test_keystream_bytes_propagates_key_validation():
