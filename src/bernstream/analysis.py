@@ -141,18 +141,15 @@ def cycle_length(seed: int, mu: int,
                  max_steps: int = DEFAULT_MAX_STEPS) -> CycleResult:
     """Tail and minimal period of the orbit from `seed`, in a single pass.
 
-    prng.find_cycle steps the orbit in blocks of prng.CYCLE_BLOCK words
-    and keeps the state at each block start as a mark; the first word
-    that equals a mark, or an earlier word of its own block, gives the
-    minimal period, and the tail lies within one block after the last
-    mark off the cycle. Only the marks and the last two blocks are kept, so the
-    words after that mark are replayed from it when those blocks do not
-    hold them.
-
-    Memory grows with max_steps / prng.CYCLE_BLOCK, the number of marks.
-    Every map evaluation counts against `max_steps`: whole blocks (the
-    last one cut to the budget) and the replay. So steps_examined <= max_steps, and
-    it exceeds tail + period by less than three blocks.
+    prng.find_cycle runs prng.cycle_blocks, the closure that the keystream's
+    orbits also run, to the end. It keeps no words: only a mark at each
+    prng.CYCLE_BLOCK-word block start and the last two blocks, from which
+    it replays the words after the last mark off the cycle when those
+    blocks do not hold them. Memory grows with max_steps /
+    prng.CYCLE_BLOCK, the number of marks. Every map evaluation counts
+    against `max_steps`: whole blocks (the last one cut to the budget) and
+    the replay. So steps_examined <= max_steps, and it exceeds tail +
+    period by less than three blocks.
     """
     _check_word(seed)
     _check_mu(mu)

@@ -76,20 +76,21 @@ class CipherKey(_KeyFields):
     def validate(self, allow_weak_mu: bool = False) -> None:
         """Reject keys that cannot produce a usable keystream.
 
-        Generators that coincide after one step XOR-cancel to an all-zero
-        keystream; that check can never be lifted. With equal mu it catches
-        seeds that differ only in the top bit, which a step discards, and
-        mu = 0, where a step maps every state to 2**31. The weak-key guard
-        may be lifted for research use: it requires mu >= 129, a
+        Generators that merge XOR-cancel to an all-zero keystream; that
+        check can never be lifted. It refuses equal mu below 129, where the
+        map contracts and the orbits merge (see README "Key format"), and
+        otherwise seeds that one step takes to the same state: seeds that
+        differ only in the top bit, which a step discards. The weak-key
+        guard may be lifted for research use: it requires mu >= 129, a
         conservative strength floor, and mu1 != mu2, because two orbits of
         one map tend to fall onto the same few cycles, which gives a
         keystream of short period.
         """
-        if self.mu1 == self.mu2 and step(self.seed1, self.mu1) == step(self.seed2, self.mu2):
+        if self.mu1 == self.mu2 and (self.mu1 < MU_MIN_STRONG or
+                                     step(self.seed1, self.mu1) == step(self.seed2, self.mu2)):
             raise DegenerateKeyError(
-                "degenerate key: the generators coincide after one step (equal mu, "
-                "seeds that one step maps to the same state) and cancel to an "
-                "all-zero keystream")
+                f"degenerate key: the generators merge (equal mu below {MU_MIN_STRONG}, "
+                "or seeds that one step maps together) and cancel to an all-zero keystream")
         if allow_weak_mu:
             return
         if min(self.mu1, self.mu2) < MU_MIN_STRONG:

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 from array import array
 
-from .prng import BernoulliGenerator, find_cycle
+from .prng import BernoulliGenerator, cycle_blocks
 
 
 # read() steps both generators with iterate() until a read reaches
-# TABLE_THRESHOLD bytes in all; from that read on, it serves both
-# generators from their recorded orbits. Below the threshold, recording
-# costs more than it saves.
+# TABLE_THRESHOLD bytes in all, and serves each generator from its orbit
+# from then on. Below the threshold, recording costs more than it saves.
 TABLE_THRESHOLD = 64 * 1024
 # Longest orbit, tail plus period in words, that is recorded. Strong orbits
 # close within about 3e5 words; weak-mu orbits are not bounded in principle,
-# so once one has not closed by the cap, the stream stays on iterate().
+# so once one has not closed by the cap, its generator steps on alone.
 TABLE_CAP = 1 << 20
 # Bytes per window of read(), and words per piece in which an orbit is
 # folded. It keeps each big int small enough to stay in cache: 2^16 words
@@ -54,58 +53,69 @@ def _fold(*arrays: array) -> bytes:
 
 
 class _Orbit:
-    """A generator's orbit recorded from state x, and its folded bytes.
+    """A generator's orbit from state x, stepped only as far as reads need.
 
-    words[i] is the state i + 1 steps after x. From index `tail` on the
-    orbit repeats every `period` words, so the array holds tail + period
-    distinct words. seq holds their folds, made in _BLOCK-word pieces of
-    a view on words: the tail's, then the cycle's, repeated until they
-    cover period + _BLOCK bytes. Every window of read(), at most _BLOCK
-    bytes, that starts at or before tail + period is then one slice of
-    seq, even for periods shorter than a window.
+    words[i] is the state i + 1 steps after x: prng.cycle_blocks appends
+    them in CYCLE_BLOCK-word blocks, and seq holds the folds of those
+    served. Once a word repeats, words is cut to the orbit's tail + period
+    distinct words, and seq to their folds, the tail's, then the cycle's,
+    repeated over period + _BLOCK bytes: every window of read(), at most
+    _BLOCK bytes, that starts at or before tail + period is one slice of
+    seq, even for periods shorter than a window. An orbit that overruns
+    TABLE_CAP keeps no record and steps on alone.
     """
 
-    __slots__ = ("words", "seq", "tail", "period", "pos", "x")
+    __slots__ = ("words", "seq", "tail", "period", "pos", "x", "mu", "_blocks")
 
-    def __init__(self, words: array, tail: int, period: int, x: int):
-        self.words = words
-        self.tail = tail
-        self.period = period
-        self.pos = 0  # index of the next word to serve
-        self.x = x    # the generator state that precedes words[pos]
-        view = memoryview(words)
-        folded = b"".join([_fold(view[i:i + _BLOCK]) for i in range(0, tail + period, _BLOCK)])
-        cycle = folded[tail:]
-        self.seq = folded[:tail] + (cycle * -(-(period + _BLOCK) // period))[:period + _BLOCK]
+    def __init__(self, x: int, mu: int):
+        self.words, self.seq = array("I"), bytearray()
+        self.tail = self.period = None
+        # words[pos] is the next word to serve, and x the state before it
+        self.pos, self.x, self.mu = 0, x, mu
+        self._blocks = cycle_blocks(x, mu, TABLE_CAP, self.words)  # None once it returns
 
-    @classmethod
-    def record(cls, x: int, mu: int) -> "_Orbit | None":
-        """Step from x until a word repeats; None if TABLE_CAP words do not close.
-
-        prng.find_cycle keeps every word it steps, in its own closure
-        blocks, and places tail and period from x. words[0] is one step
-        after x, so the table's tail is one word shorter, unless x lies on
-        the cycle.
-        """
-        words = array("I")
-        tail, period, _ = find_cycle(x, mu, TABLE_CAP, words)
-        if period is None:
-            return None
-        tail = max(tail - 1, 0)
-        del words[tail + period:]
-        return cls(words, tail, period, x)
-
-    def serve(self, n: int) -> bytes:
+    def serve(self, n: int) -> bytearray:
         """The folds of the next n <= _BLOCK words."""
-        end = self.pos + n
-        out = self.seq[self.pos:end]
+        words = self.words
+        try:
+            while self._blocks and len(words) < self.pos + n:
+                next(self._blocks)
+        except StopIteration as done:
+            self._blocks = None
+            if done.value[1]:  # a word repeated, rather than TABLE_CAP ran out
+                self._close(*done.value[:2])
+        pos, end = self.pos, self.pos + n
+        if self.period is None:
+            if len(words) < end:  # past TABLE_CAP: step on from the last word
+                stepper = BernoulliGenerator(words[-1] if words else self.x, self.mu)
+                words.fromlist(stepper.iterate(end - len(words)))
+            with memoryview(words) as view:
+                self.seq += _fold(view[pos:end])
+        out = self.seq[pos:end]
         last = end - 1
-        if last >= self.tail:
+        if self.period and last >= self.tail:
             last = self.tail + (last - self.tail) % self.period
         # pos may reach tail + period, where seq still holds a whole block.
-        self.pos = last + 1
-        self.x = self.words[last]
+        self.pos, self.x = last + 1, words[last]
+        if not (self._blocks or self.period):  # past TABLE_CAP: keep no record
+            del words[:end], self.seq[:end]
+            self.pos = 0
         return out
+
+    def _close(self, tail: int, period: int) -> None:
+        """Cut the record to tail + period words once a word repeats."""
+        # words[0] is one step after x, so the record's tail is one word
+        # shorter than the orbit's, unless x lies on the cycle.
+        tail = max(tail - 1, 0)
+        size = tail + period
+        del self.words[size:]
+        with memoryview(self.words) as view:
+            self.seq += _fold(view[len(self.seq):size])
+        del self.seq[size:]
+        self.seq += (self.seq[tail:] * -(-_BLOCK // period))[:_BLOCK]
+        self.tail, self.period = tail, period
+        if self.pos > tail:  # words served past the first wrap before it was found
+            self.pos = tail + (self.pos - tail) % period
 
 
 class KeystreamGenerator:
@@ -114,12 +124,9 @@ class KeystreamGenerator:
     __slots__ = ("gen_a", "gen_b", "_served", "_orbits")
 
     def __init__(self, gen_a: BernoulliGenerator, gen_b: BernoulliGenerator):
-        self.gen_a = gen_a
-        self.gen_b = gen_b
+        self.gen_a, self.gen_b = gen_a, gen_b
         self._served = 0  # bytes returned by read()
-        # None until recorded, False once an orbit overran TABLE_CAP, else
-        # the pair of recorded orbits (a, b).
-        self._orbits = None
+        self._orbits = [None, None]  # each generator's _Orbit, from TABLE_THRESHOLD on
 
     @classmethod
     def from_key(cls, key, allow_weak_mu: bool = False) -> "KeystreamGenerator":
@@ -141,16 +148,14 @@ class KeystreamGenerator:
         The read runs in windows of _BLOCK (64 KiB) bytes, so its memory
         does not grow with n beyond the output. Each window's keystream is
         one int, XORed with data's bytes in the window and written out by
-        one to_bytes. Where that int comes from is decided once per read,
-        for both generators together. While the bytes that read() has
-        served stay below TABLE_THRESHOLD, or once an orbit has overrun
-        TABLE_CAP, it is one fold of both generators' words, from one
-        iterate() call each. Otherwise it is the XOR of one slice of each
-        generator's recorded orbit: every orbit of the 32-bit map is
-        eventually periodic, so it is stepped once, from the first word of
-        the read that reaches the threshold, until it closes, and its words
-        are folded once. Either way, afterwards both generators hold the
-        state that n steps reach.
+        one to_bytes. While the bytes read() has served stay below
+        TABLE_THRESHOLD, it is one fold of both generators' words, from one
+        iterate() call each; otherwise the XOR of both orbits' serve(), each
+        recorded from the first word of the read that reaches the threshold,
+        or afresh from its generator's state if that moved (by iterate()).
+        Of k words served, an orbit steps at most min(k, tail + period +
+        CYCLE_BLOCK) + CYCLE_BLOCK. Then both generators hold the state that
+        n steps reach.
         """
         if n < 0:
             raise ValueError(f"byte count must be >= 0: {n!r}")
@@ -158,11 +163,14 @@ class KeystreamGenerator:
         if view is not None and view.nbytes != n:
             raise ValueError(f"data must hold {n} bytes, not {view.nbytes}")
         self._served += n
-        orbits = self._served >= TABLE_THRESHOLD and self._recorded()
+        orbits = self._orbits
+        if self._served >= TABLE_THRESHOLD:
+            orbits[:] = [o if o and o.x == g.x else _Orbit(g.x, g.mu)
+                         for o, g in zip(orbits, (self.gen_a, self.gen_b))]
         out = []
         for start in range(0, n, _BLOCK):
             size = min(_BLOCK, n - start)
-            if orbits:
+            if orbits[0]:
                 m = (int.from_bytes(orbits[0].serve(size), "little")
                      ^ int.from_bytes(orbits[1].serve(size), "little"))
             else:
@@ -171,26 +179,9 @@ class KeystreamGenerator:
             if view is not None:
                 m ^= int.from_bytes(view[start:start + size], "little")
             out.append(m.to_bytes(size, "little"))
-        if orbits:
+        if orbits[0]:
             self.gen_a.x, self.gen_b.x = orbits[0].x, orbits[1].x
         return b"".join(out)
-
-    def _recorded(self) -> "tuple[_Orbit, _Orbit] | bool":
-        """Both generators' recorded orbits (a, b), or False if one overran
-        TABLE_CAP.
-
-        Both are recorded again whenever either generator's state is not
-        the one the tables left it in, e.g. after iterate(); b is recorded
-        only if a closed. Once an orbit has overrun the cap, the stream
-        steps both generators for good.
-        """
-        a, b = self.gen_a, self.gen_b
-        orbits = self._orbits
-        if orbits is None or orbits and (orbits[0].x != a.x or orbits[1].x != b.x):
-            orbit_a = _Orbit.record(a.x, a.mu)
-            orbit_b = orbit_a and _Orbit.record(b.x, b.mu)
-            orbits = self._orbits = (orbit_a, orbit_b) if orbit_b else False
-        return orbits
 
 
 def keystream_bytes(key, n: int, allow_weak_mu: bool = False) -> bytes:

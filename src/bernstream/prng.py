@@ -103,7 +103,7 @@ class BernoulliGenerator:
         return out
 
 
-# Words per block of find_cycle, for analysis.cycle_length and the
+# Words per block of cycle_blocks, for analysis.cycle_length and the
 # keystream's recorded orbits, which take it from here alone. A closure
 # steps less than two blocks past tail + period, three with a replay, so a
 # smaller block oversteps less; it costs one mark and one set() per block.
@@ -112,8 +112,19 @@ CYCLE_BLOCK = 4096
 
 def find_cycle(x: int, mu: int, max_steps: int,
                words: array | None = None) -> tuple[int | None, int | None, int]:
+    """cycle_blocks run to the end: (tail, period, steps) of the orbit from x."""
+    blocks = cycle_blocks(x, mu, max_steps, words)
+    while True:
+        try:
+            next(blocks)
+        except StopIteration as done:
+            return done.value
+
+
+def cycle_blocks(x: int, mu: int, max_steps: int, words: array | None = None):
     """Tail and minimal period of the orbit from x, in a single pass, and
-    the number of steps taken: (tail, period, steps).
+    the number of steps taken: (tail, period, steps), returned by a
+    generator that yields after every block that does not close the orbit.
 
     Let x_0 = x and x_i be the state i steps on. The orbit is stepped
     with BernoulliGenerator.iterate in blocks of CYCLE_BLOCK words, and the
@@ -124,12 +135,11 @@ def find_cycle(x: int, mu: int, max_steps: int,
     is off the cycle, or it would have recurred before e; so the tail is
     the first t in (s, o] with x_t == x_{t + period}.
 
-    With `words`, every stepped word x_1, x_2, ... is appended to it, and
-    the tail is placed from those. Without, only the marks and the last
-    two blocks are kept; when those do not hold the words after s, they
-    are replayed from that mark, o - s steps that count against the
-    budget. Memory then grows with max_steps / CYCLE_BLOCK, the number of
-    marks.
+    With `words`, each block of words x_1, x_2, ... is appended to it before
+    the generator yields, and the tail is placed from those. Without, only
+    the marks and the last two blocks are kept; when those do not hold the
+    words after s, they are replayed from that mark, o - s steps that count
+    against the budget. Memory then grows with max_steps / CYCLE_BLOCK marks.
 
     Every map evaluation counts against `max_steps`, so steps <=
     max_steps, and steps exceeds tail + period by less than three blocks.
@@ -144,10 +154,11 @@ def find_cycle(x: int, mu: int, max_steps: int,
         steps += len(chunk)
         if words is not None:
             words.fromlist(chunk)
-        seen = set(chunk)
-        if len(seen) == len(chunk) and marks.keys().isdisjoint(seen):
+        if len(seen := set(chunk)) == len(chunk) and marks.keys().isdisjoint(seen):
             marks[chunk[-1]] = steps
-            prev = chunk
+            prev = chunk if words is None else []  # words holds the block already
+            del chunk, seen  # a paused search keeps no block
+            yield
             continue
         first = {}
         for e, w in enumerate(chunk, base + 1):

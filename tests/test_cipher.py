@@ -5,7 +5,7 @@ import tracemalloc
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernstream.cipher import (CipherIOError, CipherKey, DegenerateKeyError,
@@ -13,7 +13,7 @@ from bernstream.cipher import (CipherIOError, CipherKey, DegenerateKeyError,
                                decrypt_stream, encrypt_bytes, encrypt_stream,
                                generate_key, parse_key)
 from bernstream.keystream import TABLE_THRESHOLD, KeystreamGenerator, keystream_bytes
-from bernstream.prng import BernoulliGenerator
+from bernstream.prng import BernoulliGenerator, step
 
 from oracles import advance, keystream_reference, xor_reference
 
@@ -114,6 +114,28 @@ class TestParseKey:
         # both 0 and 1 step to 2**23 * 255
         with pytest.raises(DegenerateKeyError, match="degenerate"):
             parse_key("00000000010000000101", allow_weak_mu=True)
+
+    @pytest.mark.parametrize("text, merged", [
+        ("00000000010000010001", True),  # mu 1: 0x02, then zeros
+        ("7FFFFF80010000000001", True),  # mu 1: 0x80, then zeros
+        ("12345678400000000040", False),  # mu 64
+        ("DEADBEEF80CAFEBABE80", False),  # mu 128, the largest below the strong floor
+    ])
+    def test_equal_mu_below_the_strong_floor_is_degenerate(self, text, merged):
+        # two orbits of one contracting map (mu < 129) tend to merge, after
+        # which the keystream is all zero; the flag does not lift this
+        key = CipherKey(int(text[:8], 16), int(text[8:10], 16),
+                        int(text[10:18], 16), int(text[18:], 16))
+        assert step(key.seed1, key.mu1) != step(key.seed2, key.mu2)
+        if merged:
+            unchecked = KeystreamGenerator(BernoulliGenerator(key.seed1, key.mu1),
+                                           BernoulliGenerator(key.seed2, key.mu2))
+            assert not any(unchecked.read(4096)[1:])
+        for allow in (False, True):
+            with pytest.raises(DegenerateKeyError, match="degenerate"):
+                parse_key(text, allow_weak_mu=allow)
+        # equal mu at the floor is only weak
+        parse_key(text[:8] + "81" + text[10:18] + "81", allow_weak_mu=True)
 
     def test_round_trip_through_hex(self):
         assert parse_key(GOOD_KEY.to_hex()) == GOOD_KEY
@@ -434,6 +456,8 @@ def keys_near_the_degenerate_class(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(keys_near_the_degenerate_class(), st.booleans())
+# mu 1 twice: accepted under the flag before equal mu below 129 was refused
+@example(CipherKey(seed1=2147483520, mu1=1, seed2=0, mu2=1), True)
 def test_every_accepted_key_gives_a_nonzero_keystream(key, allow_weak_mu):
     try:
         accepted = parse_key(key.to_hex(), allow_weak_mu=allow_weak_mu)

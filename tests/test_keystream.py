@@ -53,7 +53,7 @@ def scalar_keystream(monkeypatch, n, key=SIM_KEY):
         m.setattr(keystream, "TABLE_THRESHOLD", n + 1)
         gen = KeystreamGenerator.from_key(key, allow_weak_mu=True)
         out = gen.read(n)
-        assert gen._orbits is None
+        assert gen._orbits == [None, None]
     return out
 
 
@@ -235,7 +235,7 @@ class TestKeystreamGenerator:
         gen = KeystreamGenerator.from_key(SIM_KEY)
         head = gen.read(TABLE_THRESHOLD + 1000)
         recorded = list(gen._orbits)
-        # iterate() moves both generators off their tables: recorded again
+        # iterate() moves both generators off their orbits: both recorded again
         gen.gen_a.iterate(3)
         gen.gen_b.iterate(3)
         mixed = gen.read(500)
@@ -263,36 +263,51 @@ class TestKeystreamGenerator:
         with monkeypatch.context() as m:
             def refuse(*args):
                 raise AssertionError("orbit recorded below the threshold")
-            m.setattr(keystream._Orbit, "record", refuse)
+            m.setattr(keystream, "_Orbit", refuse)
             gen = KeystreamGenerator.from_key(SIM_KEY)
             out = b"".join(gen.read(k) for k in sizes)
         assert out == keystream_bytes(SIM_KEY, TABLE_THRESHOLD - 1)
-        assert gen._orbits is None
-        # the read that reaches the threshold records both orbits from its first word
-        assert gen.read(1) == keystream_bytes(SIM_KEY, TABLE_THRESHOLD)[-1:]
+        assert gen._orbits == [None, None]
+        # the read that reaches the threshold records both orbits from its
+        # first word, and steps each one closure block
+        want = keystream_bytes(SIM_KEY, SIM_LONG)
+        assert gen.read(1) == want[TABLE_THRESHOLD - 1:TABLE_THRESHOLD]
         assert all(isinstance(o, keystream._Orbit) for o in gen._orbits)
+        for orbit, seed, mu in zip(gen._orbits, (SIM_KEY.seed1, SIM_KEY.seed2),
+                                   (SIM_KEY.mu1, SIM_KEY.mu2)):
+            assert orbit.words[0] == advance(seed, mu, TABLE_THRESHOLD)
+            assert len(orbit.words) == prng.CYCLE_BLOCK
+        # read on past both closures: the orbits keep their anchor
+        assert gen.read(SIM_LONG - TABLE_THRESHOLD) == want[TABLE_THRESHOLD:]
         for orbit, (tail, period) in zip(gen._orbits, [SIM_ORBIT_A, SIM_ORBIT_B]):
             assert (orbit.tail, orbit.period) == (max(tail - 1 - ORIGIN, 0), period)
 
     def test_first_long_read_records_from_the_seed(self, monkeypatch):
         # a first read of TABLE_THRESHOLD bytes, as encrypt_stream's first
-        # chunk is, steps each orbit once: only to record it
-        want = keystream_bytes(SIM_KEY, TABLE_THRESHOLD)
-        stepped = []
+        # chunk is, records each orbit from the seed, stepping each word once
+        want = keystream_bytes(SIM_KEY, SIM_LONG)
+        stepped = {SIM_KEY.mu1: 0, SIM_KEY.mu2: 0}
         iterate = BernoulliGenerator.iterate
 
         def counted(gen, n):
-            stepped.append(n)
+            stepped[gen.mu] += n
             return iterate(gen, n)
         monkeypatch.setattr(BernoulliGenerator, "iterate", counted)
         gen = KeystreamGenerator.from_key(SIM_KEY)
-        assert gen.read(TABLE_THRESHOLD) == want
+        assert gen.read(TABLE_THRESHOLD) == want[:TABLE_THRESHOLD]
+        # neither orbit closes within the read, so each is stepped only as
+        # far as the read needs, not whole
+        assert max(stepped.values()) <= TABLE_THRESHOLD + prng.CYCLE_BLOCK
+        assert gen.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, TABLE_THRESHOLD)
+        assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, TABLE_THRESHOLD)
+        # the next reads step each orbit on until it closes
+        assert gen.read(SIM_LONG - TABLE_THRESHOLD) == want[TABLE_THRESHOLD:]
         for orbit, (tail, period) in zip(gen._orbits, [SIM_ORBIT_A, SIM_ORBIT_B]):
             assert (orbit.tail, orbit.period) == (tail - 1, period)
         # each closure steps less than two closure blocks past its tail + period
-        assert sum(stepped) < sum(SIM_ORBIT_A) + sum(SIM_ORBIT_B) + 4 * prng.CYCLE_BLOCK
-        assert gen.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, TABLE_THRESHOLD)
-        assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, TABLE_THRESHOLD)
+        assert sum(stepped.values()) < sum(SIM_ORBIT_A) + sum(SIM_ORBIT_B) + 4 * prng.CYCLE_BLOCK
+        assert gen.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, SIM_LONG)
+        assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, SIM_LONG)
 
     def test_read_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -343,12 +358,21 @@ def test_short_periods_match_scalar_across_boundaries(monkeypatch, orbit_a, orbi
     assert_chunked_reads_exact(monkeypatch, key, orbits, n)
 
 
+def served_until_closed(x, mu):
+    """An _Orbit from state x, served in _BLOCK-word windows until it closes."""
+    orbit = keystream._Orbit(x, mu)
+    while orbit.period is None and orbit._blocks:
+        orbit.serve(keystream._BLOCK)
+    assert orbit.period is not None
+    return orbit
+
+
 @pytest.mark.parametrize("seed, mu", [
     (0x12345678, 100), (0xDEADBEEF, 60), (7, 1), (5, 0),
     (0x9E3779B9, 140), (0xAAAAAAAA, 170), PERIOD_1[:2], PERIOD_2[:2],
 ])
 def test_recorded_orbit_matches_oracle(seed, mu):
-    orbit = keystream._Orbit.record(seed, mu)
+    orbit = served_until_closed(seed, mu)
     tail, period = cycle_visited(seed, mu, 1 << 20)
     # the table starts at the first output word, one step after the seed
     assert (orbit.tail, orbit.period) == (max(tail - 1, 0), period)
@@ -366,7 +390,7 @@ def test_periods_that_are_multiples_of_the_block_close(monkeypatch, blocks_per_p
     seed, mu, tail, period = SHORT_PERIOD
     monkeypatch.setattr(prng, "CYCLE_BLOCK", period // blocks_per_period)
     # from 10 steps before the cycle, the table's tail is 9 words
-    orbit = keystream._Orbit.record(advance(seed, mu, tail - 10), mu)
+    orbit = served_until_closed(advance(seed, mu, tail - 10), mu)
     assert (orbit.tail, orbit.period) == (9, period)
 
 
@@ -376,8 +400,8 @@ BULK_KEYS = ("F4271242D67D883F82A5", "C13EE345BB155AB65983",
 
 
 def test_bulk_encrypt_orbits_close_within_two_closure_blocks():
-    # encrypt's first read of TABLE_THRESHOLD bytes records each of these
-    # eight orbits from its seed, with these arguments
+    # encrypt's reads step each of these eight orbits from its seed, through
+    # prng.cycle_blocks with these arguments, until it closes
     steps = visited = 0
     for key in map(parse_key, BULK_KEYS):
         for seed, mu in ((key.seed1, key.mu1), (key.seed2, key.mu2)):
@@ -386,6 +410,16 @@ def test_bulk_encrypt_orbits_close_within_two_closure_blocks():
             steps, visited = steps + n, visited + tail + period
     assert visited == 535_094
     assert steps == 565_248
+
+
+def assert_capped_a_closed_b(orbits):
+    """SIM_KEY's orbits under a TABLE_CAP of 2**17, recorded from a stream
+    position past b's tail: a overran the cap, so it keeps no record and
+    steps on alone; b closed."""
+    a, b = orbits
+    assert (a.tail, a.period) == (None, None)
+    assert len(a.words) < prng.CYCLE_BLOCK
+    assert (b.tail, b.period) == (0, SIM_ORBIT_B[1])
 
 
 def assert_fused_reads_exact(key, orbits, n):
@@ -403,10 +437,10 @@ def assert_fused_reads_exact(key, orbits, n):
 
 def test_fused_read_matches_xor_on_a_capped_orbit(monkeypatch):
     # as in test_orbit_over_the_cap_stays_on_the_scalar_loop: a is capped,
-    # so both generators are stepped
+    # so it steps on alone, while b is served from its closed orbit
     monkeypatch.setattr(keystream, "TABLE_CAP", 1 << 17)
     gen = assert_fused_reads_exact(SIM_KEY, [SIM_ORBIT_A, SIM_ORBIT_B], SIM_LONG)
-    assert gen._orbits is False
+    assert_capped_a_closed_b(gen._orbits)
 
 
 def test_fused_read_matches_xor_on_periods_1_and_2():
@@ -461,31 +495,34 @@ def test_table_path_from_the_first_byte(monkeypatch):
 def test_orbit_over_the_cap_stays_on_the_scalar_loop(monkeypatch):
     want = keystream_bytes(SIM_KEY, SIM_LONG)
     # generator b closes within 2**17 words of the threshold; a does not, so
-    # the stream steps both
+    # a steps on alone
     monkeypatch.setattr(keystream, "TABLE_CAP", 1 << 17)
     gen = KeystreamGenerator.from_key(SIM_KEY)
     got = b"".join(gen.read(50_000) for _ in range(SIM_LONG // 50_000))
-    assert gen._orbits is False
+    assert_capped_a_closed_b(gen._orbits)
     assert got == want
     assert gen.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, SIM_LONG)
     assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, SIM_LONG)
 
 
-def test_capped_orbit_is_recorded_once_and_b_never(monkeypatch):
+def test_capped_orbit_and_b_are_recorded_once(monkeypatch):
     want = keystream_bytes(SIM_KEY, SIM_LONG)
     monkeypatch.setattr(keystream, "TABLE_CAP", 1 << 17)
     recorded = []
-    record = keystream._Orbit.record
+    cycle_blocks = keystream.cycle_blocks
 
-    def counted(x, mu):
+    def counted(x, mu, max_steps, words):
         recorded.append((x, mu))
-        return record(x, mu)
-    monkeypatch.setattr(keystream._Orbit, "record", counted)
+        return cycle_blocks(x, mu, max_steps, words)
+    monkeypatch.setattr(keystream, "cycle_blocks", counted)
     gen = KeystreamGenerator.from_key(SIM_KEY)
     assert b"".join(gen.read(50_000) for _ in range(SIM_LONG // 50_000)) == want
-    # a overran the cap at the read that reached the threshold, so b was
-    # never recorded, and no later read recorded either
-    assert recorded == [(advance(SIM_KEY.seed1, SIM_KEY.mu1, 50_000), SIM_KEY.mu1)]
+    # both orbits are recorded once, from the read that reached the
+    # threshold; a overran the cap and b closed, and no later read
+    # recorded either again
+    assert recorded == [(advance(SIM_KEY.seed1, SIM_KEY.mu1, 50_000), SIM_KEY.mu1),
+                        (advance(SIM_KEY.seed2, SIM_KEY.mu2, 50_000), SIM_KEY.mu2)]
+    assert_capped_a_closed_b(gen._orbits)
 
 
 def test_keystream_bytes_propagates_key_validation():
@@ -508,3 +545,68 @@ def test_byte_section_dispersion_at_mu_170():
         assert len({(w >> shift) & 0xFF for w in words}) >= 243
     msb = {(w >> 24) & 0xFF for w in words}
     assert min(msb) >= 43 and max(msb) <= 212
+
+
+# Orbits as (seed, mu, tail, period) for the per-orbit step count: both of
+# SIM_KEY's, and a short period behind a long tail beside a period 2.
+SIM_ORBITS = [(SIM_KEY.seed1, SIM_KEY.mu1, *SIM_ORBIT_A),
+              (SIM_KEY.seed2, SIM_KEY.mu2, *SIM_ORBIT_B)]
+
+
+@pytest.mark.parametrize("orbits, cap", [
+    (SIM_ORBITS, None), (SIM_ORBITS, 1 << 17), ([SHORT_PERIOD, PERIOD_2], None),
+], ids=["closing orbits", "a over the cap", "period 5736 and period 2"])
+def test_each_orbit_word_is_stepped_at_most_once(monkeypatch, orbits, cap):
+    # Over random read splits, with iterate() on one generator or both
+    # between reads, each recorded orbit steps at most min(words served,
+    # tail + period + CYCLE_BLOCK) + CYCLE_BLOCK words from its anchor, and
+    # iterate() re-records only the orbit of the generator it moved. An
+    # orbit longer than TABLE_CAP steps at most words served + CYCLE_BLOCK.
+    if cap:
+        monkeypatch.setattr(keystream, "TABLE_CAP", cap)
+    block = prng.CYCLE_BLOCK
+    (seed1, mu1, *_), (seed2, mu2, *_) = orbits
+    key = CipherKey(seed1, mu1, seed2, mu2)
+    iterate = BernoulliGenerator.iterate  # steps uncounted
+    stepped = {key.mu1: 0, key.mu2: 0}
+
+    def counted(gen, n):
+        stepped[gen.mu] += n
+        return iterate(gen, n)
+    monkeypatch.setattr(BernoulliGenerator, "iterate", counted)
+    for split in range(3):
+        rng = random.Random(split)
+        gen = KeystreamGenerator.from_key(key)
+        gens = (gen.gen_a, gen.gen_b)
+        twins = [BernoulliGenerator(key.seed1, key.mu1), BernoulliGenerator(key.seed2, key.mu2)]
+        pos = [0, 0]  # steps from the seed
+        anchors = [None, None]  # [orbit, its tail + period, words served, words stepped]
+        while pos[0] < SIM_LONG:
+            moved = [rng.random() < 0.15 for _ in gens]
+            for i in range(2):
+                if moved[i]:
+                    k = rng.randrange(1, 3000)
+                    iterate(gens[i], k)
+                    iterate(twins[i], k)
+                    pos[i] += k
+            k = rng.choice([rng.randrange(1, 2000), rng.randrange(1, 3 * keystream._BLOCK)])
+            before, old = dict(stepped), list(gen._orbits)
+            got = gen.read(k)
+            assert got == keystream._fold(*(array("I", iterate(t, k)) for t in twins))
+            assert [g.x for g in gens] == [t.x for t in twins]
+            for i, (g, orbit, (_, _, tail, period)) in enumerate(zip(gens, gen._orbits, orbits)):
+                delta = stepped[g.mu] - before[g.mu]
+                if orbit is None:
+                    assert delta == k
+                else:
+                    assert (orbit is old[i]) == (old[i] is not None and not moved[i])
+                    if orbit is not old[i]:
+                        anchors[i] = [orbit, max(tail - pos[i], 0) + period, 0, 0]
+                    anchor = anchors[i]
+                    anchor[2] += k
+                    anchor[3] += delta
+                    served, length = anchor[2], anchor[1]
+                    if length > keystream.TABLE_CAP:
+                        length = served
+                    assert anchor[3] <= min(served, length + block) + block
+                pos[i] += k
