@@ -4,8 +4,8 @@ Two fixed-point map generators run in lockstep; each 32-bit output word
 is split into four byte sections and the eight sections are XOR-folded
 into one keystream byte. The package also ships the six-test randomness
 battery used to judge keystream quality and orbit-analysis tools
-(bifurcation data, byte coverage, cycle lengths) that expose the
-finite-precision dynamics.
+(bifurcation arrays and their CSV, byte coverage, cycle lengths) that
+expose the finite-precision dynamics.
 
 Research cipher: no nonce, no authentication, no key schedule. Do not
 protect real data with it.
@@ -18,9 +18,8 @@ __version__ = "0.1.0"
 # Public names by submodule. They are imported on first use (PEP 562), so
 # `import bernstream` and the numpy-free commands do not load numpy.
 _EXPORTS = {
-    "analysis": ("BifurcationRecord", "CycleResult", "bifurcation_scan",
-                 "byte_section", "coverage", "cycle_length",
-                 "write_bifurcation_csv"),
+    "analysis": ("CycleResult", "bifurcation_scan", "byte_section",
+                 "coverage", "cycle_length", "write_bifurcation_csv"),
     "cipher": ("CipherIOError", "CipherKey", "DegenerateKeyError",
                "KeyFormatError", "WeakMuError", "decrypt_bytes",
                "decrypt_stream", "encrypt_bytes", "encrypt_stream",

@@ -1,10 +1,11 @@
 """Orbit diagnostics: bifurcation data, byte-section coverage, cycle lengths.
 
-Bifurcation scans sample the asymptotic orbit per feedback factor so the
-banded most-significant section and the space-filling lower sections can
-be plotted or measured. Cycle detection quantifies the finite-precision
-degradation: every orbit on the 32-bit state space is eventually
-periodic, usually with a short tail and period.
+A bifurcation scan samples the asymptotic orbit per feedback factor into
+one uint8 array, so the banded most-significant section and the
+space-filling lower sections can be plotted, measured or written as CSV.
+Cycle detection quantifies the finite-precision degradation: every orbit
+on the 32-bit state space is eventually periodic, usually with a short
+tail and period.
 """
 
 from __future__ import annotations
@@ -20,14 +21,6 @@ DEFAULT_SAMPLES = 200
 DEFAULT_MAX_STEPS = 10_000_000
 
 CSV_HEADER = "mu,section,value"
-
-
-class BifurcationRecord(NamedTuple):
-    """One asymptotic orbit sample: byte `value` of `section` at `mu`."""
-
-    mu: int
-    section: int
-    value: int
 
 
 class CycleResult(NamedTuple):
@@ -58,17 +51,18 @@ def byte_section(x: int, section: int) -> int:
     return (x >> _section_shift(section)) & 0xFF
 
 
-def bifurcation_sections(mu_min: int, mu_max: int, x0: int,
-                          transient: int = DEFAULT_TRANSIENT,
-                          samples: int = DEFAULT_SAMPLES,
-                          section: int = 1):
+def bifurcation_scan(mu_min: int, mu_max: int, x0: int,
+                     transient: int = DEFAULT_TRANSIENT,
+                     samples: int = DEFAULT_SAMPLES,
+                     section: int = 1):
     """Asymptotic byte-section samples for every mu in [mu_min, mu_max].
 
     Returns a uint8 numpy array of shape (mu_max - mu_min + 1, samples):
     row k is the orbit for mu_min + k, run afresh from x0, with
     `transient` outputs discarded and then byte `section` of the next
     `samples` outputs. Every orbit is stepped at once, as one vector of
-    uint64 lanes.
+    uint64 lanes, so the scan loads numpy. Identical parameters give
+    identical arrays.
     """
     _check_mu(mu_min)
     _check_mu(mu_max)
@@ -106,25 +100,6 @@ def bifurcation_sections(mu_min: int, mu_max: int, x0: int,
     return out
 
 
-def bifurcation_scan(mu_min: int, mu_max: int, x0: int,
-                     transient: int = DEFAULT_TRANSIENT,
-                     samples: int = DEFAULT_SAMPLES,
-                     section: int = 1) -> list[BifurcationRecord]:
-    """Asymptotic orbit samples for every mu in [mu_min, mu_max], as records.
-
-    Each mu starts a fresh orbit at x0, discards `transient` outputs,
-    then records the chosen byte section of the next `samples` outputs,
-    mu by mu and sample by sample. Deterministic: identical parameters
-    give identical record lists. The records are built from
-    bifurcation_sections(), which holds the same values in one array and
-    is the cheaper form for large scans.
-    """
-    values = bifurcation_sections(mu_min, mu_max, x0, transient=transient,
-                                  samples=samples, section=section)
-    return [BifurcationRecord(mu, section, v)
-            for mu, row in enumerate(values.tolist(), mu_min) for v in row]
-
-
 def coverage(seed: int, mu: int, section: int, n: int) -> float:
     """Fraction of the 256 byte values the section visits in n outputs."""
     if n < 1:
@@ -158,18 +133,9 @@ def cycle_length(seed: int, mu: int,
     return CycleResult(*find_cycle(seed, mu, max_steps))
 
 
-def write_bifurcation_csv(records, stream) -> None:
-    """Write records as CSV rows `mu,section,value`, decimal fields."""
-    stream.write(CSV_HEADER + "\n")
-    for r in records:
-        stream.write(f"{r.mu},{r.section},{r.value}\n")
-
-
-def write_bifurcation_sections(values, mu_min: int, section: int, stream) -> None:
-    """Write a bifurcation_sections() array as the CSV that
-    write_bifurcation_csv() gives for the same scan's records.
-
-    Row k of `values` holds the samples for mu_min + k.
+def write_bifurcation_csv(values, mu_min: int, section: int, stream) -> None:
+    """Write a bifurcation_scan() array as CSV rows `mu,section,value`,
+    decimal fields; row k of `values` holds the samples for mu_min + k.
     """
     digits = [f"{v}\n" for v in range(256)]
     stream.write(CSV_HEADER + "\n")

@@ -17,8 +17,7 @@ from contextlib import contextmanager
 # encrypt, decrypt and cycle run without it; `test` and `bifurcate` load
 # it when they run.
 from .analysis import (DEFAULT_MAX_STEPS, DEFAULT_SAMPLES, DEFAULT_TRANSIENT,
-                       bifurcation_sections, cycle_length,
-                       write_bifurcation_sections)
+                       bifurcation_scan, cycle_length, write_bifurcation_csv)
 from .cipher import (DEFAULT_CHUNK_SIZE, DegenerateKeyError, encrypt_stream,
                      generate_key, parse_key)
 from .keystream import KeystreamGenerator
@@ -173,6 +172,11 @@ def cmd_keystream(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
+    # Opening --out truncates it before --in is read; samefile also sees
+    # through symlinks and hard links.
+    if ("-" not in (args.infile, args.out) and os.path.exists(args.out)
+            and os.path.samefile(args.infile, args.out)):
+        raise ValueError(f"--in and --out name the same file: {args.infile}")
     key = _load_key(args)
     with _binary_in(args.infile) as src, _binary_out(args.out) as dst:
         encrypt_stream(key, src, dst, allow_weak_mu=args.allow_weak_mu)
@@ -200,12 +204,11 @@ def cmd_test(args) -> int:
 
 
 def cmd_bifurcate(args) -> int:
-    values = bifurcation_sections(args.mu_min, args.mu_max, args.seed,
-                                  transient=args.transient,
-                                  samples=args.samples,
-                                  section=args.section)
+    values = bifurcation_scan(args.mu_min, args.mu_max, args.seed,
+                              transient=args.transient, samples=args.samples,
+                              section=args.section)
     with _text_out(args.out) as dst:
-        write_bifurcation_sections(values, args.mu_min, args.section, dst)
+        write_bifurcation_csv(values, args.mu_min, args.section, dst)
     return EXIT_OK
 
 

@@ -1,13 +1,12 @@
 import io
 import random
 
+import numpy as np
 import pytest
 
 from bernstream import analysis, prng
-from bernstream.analysis import (CYCLE_BLOCK, BifurcationRecord, bifurcation_scan,
-                                 bifurcation_sections, byte_section, coverage,
-                                 cycle_length, write_bifurcation_csv,
-                                 write_bifurcation_sections)
+from bernstream.analysis import (CYCLE_BLOCK, bifurcation_scan, byte_section,
+                                 coverage, cycle_length, write_bifurcation_csv)
 from bernstream.prng import BernoulliGenerator, generalization_factor, max_step_value
 
 from oracles import advance, cycle_visited, orbit_reference, verify_cycle
@@ -28,39 +27,40 @@ def test_byte_section_extraction():
 class TestBifurcationScan:
 
     def test_msb_band_at_mu_170(self):
-        records = bifurcation_scan(170, 170, 0xAAAAAAAA,
-                                   transient=1000, samples=200, section=1)
-        assert len(records) == 200
-        assert all(43 <= r.value <= 212 for r in records)
+        values = bifurcation_scan(170, 170, 0xAAAAAAAA,
+                                  transient=1000, samples=200, section=1)
+        assert values.shape == (1, 200)
+        assert all(43 <= v <= 212 for v in values[0].tolist())
 
     def test_mu_zero_orbit_is_constant(self):
         for section, expected in ((1, 128), (2, 0), (3, 0), (4, 0)):
-            records = bifurcation_scan(0, 0, 123456789, transient=1,
-                                       samples=50, section=section)
-            assert {r.value for r in records} == {expected}
+            values = bifurcation_scan(0, 0, 123456789, transient=1,
+                                      samples=50, section=section)
+            assert set(values[0].tolist()) == {expected}
 
     def test_section1_confined_to_derived_band(self):
         # the band implied by the step range invariant, per mu
-        records = bifurcation_scan(140, 150, 0xDEADBEEF,
-                                   transient=200, samples=100, section=1)
-        for r in records:
-            lo = generalization_factor(r.mu) >> 24
-            hi = max_step_value(r.mu) >> 24
-            assert lo <= r.value <= hi
+        values = bifurcation_scan(140, 150, 0xDEADBEEF,
+                                  transient=200, samples=100, section=1)
+        assert values.shape == (11, 100)
+        for mu, row in enumerate(values.tolist(), 140):
+            lo = generalization_factor(mu) >> 24
+            hi = max_step_value(mu) >> 24
+            assert all(lo <= v <= hi for v in row)
 
     def test_lower_sections_disperse_for_expansive_mu(self):
         # oracle-calibrated: >= 95% of byte values per mu from 131 up;
         # mu in {128, 129, 130} provably fails any such threshold
         for mu in (131, 170, 204, 255):
-            records = bifurcation_scan(mu, mu, 0xAAAAAAAA, transient=1000,
-                                       samples=1000, section=3)
-            assert len({r.value for r in records}) >= 243
+            values = bifurcation_scan(mu, mu, 0xAAAAAAAA, transient=1000,
+                                      samples=1000, section=3)
+            assert len(set(values[0].tolist())) >= 243
 
     def test_scan_is_deterministic(self):
         a = bifurcation_scan(100, 110, 42, transient=50, samples=20, section=2)
         b = bifurcation_scan(100, 110, 42, transient=50, samples=20, section=2)
-        assert a == b
-        assert len(a) == 11 * 20
+        assert a.tolist() == b.tolist()
+        assert a.shape == (11, 20)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -72,10 +72,10 @@ class TestBifurcationScan:
 
 
 def reference_scan(mu_min, mu_max, x0, transient, samples, section):
-    """(mu, value) pairs of a scan, from the arithmetic oracle orbit."""
-    return [(mu, word // 256 ** (4 - section) % 256)
-            for mu in range(mu_min, mu_max + 1)
-            for word in orbit_reference(x0, mu, transient + samples)[transient:]]
+    """A scan's rows, one list of values per mu, from the arithmetic oracle orbit."""
+    return [[word // 256 ** (4 - section) % 256
+             for word in orbit_reference(x0, mu, transient + samples)[transient:]]
+            for mu in range(mu_min, mu_max + 1)]
 
 
 @pytest.mark.parametrize("width", [1, 17, 18, 19, 256])
@@ -88,16 +88,15 @@ def test_scan_and_csv_match_oracle(width, x0):
     for section in (1, 2, 3, 4):
         for transient, samples in ((0, 3), (11, 2)):
             expected = reference_scan(mu_min, mu_max, x0, transient, samples, section)
-            records = bifurcation_scan(mu_min, mu_max, x0, transient=transient,
-                                       samples=samples, section=section)
-            assert records == [BifurcationRecord(mu, section, v) for mu, v in expected]
-            values = bifurcation_sections(mu_min, mu_max, x0, transient=transient,
-                                          samples=samples, section=section)
+            values = bifurcation_scan(mu_min, mu_max, x0, transient=transient,
+                                      samples=samples, section=section)
             assert values.shape == (width, samples)
-            fast, slow = io.StringIO(), io.StringIO()
-            write_bifurcation_sections(values, mu_min, section, fast)
-            write_bifurcation_csv(records, slow)
-            assert fast.getvalue() == slow.getvalue()
+            assert values.tolist() == expected
+            buf = io.StringIO()
+            write_bifurcation_csv(values, mu_min, section, buf)
+            assert buf.getvalue() == "mu,section,value\n" + "".join(
+                f"{mu},{section},{v}\n"
+                for mu, row in enumerate(expected, mu_min) for v in row)
 
 
 def test_long_runs_are_stepped_in_blocks(monkeypatch):
@@ -115,10 +114,9 @@ def test_long_runs_are_stepped_in_blocks(monkeypatch):
 
     monkeypatch.setattr(analysis, "BernoulliGenerator", Counted)
     transient, samples, x0 = 3 * CYCLE_BLOCK + 5, 9, 0x9E3779B9
-    values = bifurcation_sections(169, 170, x0, transient=transient,
-                                  samples=samples, section=3)
-    assert [(mu, v) for mu, row in enumerate(values.tolist(), 169) for v in row] == \
-        reference_scan(169, 170, x0, transient, samples, 3)
+    values = bifurcation_scan(169, 170, x0, transient=transient,
+                              samples=samples, section=3)
+    assert values.tolist() == reference_scan(169, 170, x0, transient, samples, 3)
     n = 2 * CYCLE_BLOCK + 1
     for section in (1, 4):
         visited = {byte_section(w, section) for w in orbit_reference(x0, 170, n)}
@@ -130,15 +128,15 @@ def test_long_runs_are_stepped_in_blocks(monkeypatch):
 def test_scan_rejects_out_of_range_x0():
     for x0 in (-1, 2**32):
         with pytest.raises(ValueError):
-            bifurcation_sections(0, 255, x0)
+            bifurcation_scan(0, 255, x0)
         with pytest.raises(ValueError):
-            bifurcation_sections(0, 0, x0)
+            bifurcation_scan(0, 0, x0)
 
 
 def test_csv_output_format():
-    records = [BifurcationRecord(170, 1, 43), BifurcationRecord(171, 1, 212)]
+    values = np.array([[43], [212]], dtype=np.uint8)
     buf = io.StringIO()
-    write_bifurcation_csv(records, buf)
+    write_bifurcation_csv(values, 170, 1, buf)
     assert buf.getvalue() == "mu,section,value\n170,1,43\n171,1,212\n"
 
 

@@ -141,6 +141,26 @@ def test_encrypt_decrypt_file_round_trip(tmp_path):
     assert back.read_bytes() == msg
 
 
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+@pytest.mark.parametrize("link", ["same path", "symlink", "hard link"])
+def test_in_place_output_is_refused(tmp_path, capsys, command, link):
+    msg = random.Random(0x5A3E).randbytes(100_000)
+    src = tmp_path / "f.bin"
+    src.write_bytes(msg)
+    out = tmp_path / "g.bin"
+    if link == "same path":
+        out = src
+    elif link == "symlink":
+        out.symlink_to(src)
+    else:
+        os.link(src, out)
+    rc = main([command, "--key", SIM_KEY_HEX, "--in", str(src), "--out", str(out)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--in" in err and "--out" in err
+    assert src.read_bytes() == msg
+
+
 def test_pipe_composability_through_real_processes(tmp_path):
     msg = random.Random(0x91E).randbytes(50_000)
     enc = subprocess.run(

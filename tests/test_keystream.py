@@ -1,3 +1,4 @@
+import math
 import random
 from array import array
 
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernstream import keystream, prng
+from bernstream import analysis, keystream, prng
 from bernstream.cipher import CipherKey, DegenerateKeyError, parse_key
 from bernstream.keystream import TABLE_THRESHOLD, KeystreamGenerator, keystream_bytes
 from bernstream.prng import BernoulliGenerator, find_cycle
 
 from oracles import (advance, cycle_visited, keystream_reference, orbit_reference,
-                     split_word_arith, xor_parity_byte, xor_reference)
+                     prime_factors, split_word_arith, verify_cycle, xor_parity_byte,
+                     xor_reference)
 
 SIM_KEY = CipherKey(seed1=0xAAAAAAAA, mu1=0xAA, seed2=0xBBBBBBBB, mu2=0xBB)
 # (tail, period) of SIM_KEY's two orbits, from the seed, in steps.
@@ -610,3 +612,28 @@ def test_each_orbit_word_is_stepped_at_most_once(monkeypatch, orbits, cap):
                         length = served
                     assert anchor[3] <= min(served, length + block) + block
                 pos[i] += k
+
+
+@pytest.mark.parametrize("hex_key, orbit_a, orbit_b, lcm", [
+    ("7311D8A385A6CECC1B8F", (5_742, 1_488), (73_273, 2_604), 10_416),
+    ("D7185DDA8165BD9ACBC8", (651, 32), (48_658, 4_560), 9_120),
+])
+def test_short_period_keys_repeat_with_the_orbits_lcm(hex_key, orbit_a, orbit_b, lcm):
+    # Keys that default validation accepts although their keystream repeats
+    # within a few KiB; allow_weak_mu keeps them readable once it does not.
+    key = parse_key(hex_key, allow_weak_mu=True)
+    for (seed, mu), (tail, period) in (((key.seed1, key.mu1), orbit_a),
+                                       ((key.seed2, key.mu2), orbit_b)):
+        result = analysis.cycle_length(seed, mu)
+        assert (result.tail, result.period) == (tail, period)
+        assert verify_cycle(seed, mu, tail, period) == []
+    assert math.lcm(orbit_a[1], orbit_b[1]) == lcm
+    # byte i comes from step i + 1, so the bytes repeat from the later tail - 1
+    start = max(orbit_a[0], orbit_b[0]) - 1
+    ks = keystream_bytes(key, start + 2 * lcm, allow_weak_mu=True)
+    assert ks[start:-lcm] == ks[start + lcm:]
+    assert ks[start - 1] != ks[start - 1 + lcm]
+    # every proper divisor of lcm divides some lcm // p, p prime
+    for p in prime_factors(lcm):
+        d = lcm // p
+        assert ks[start:-d] != ks[start + d:]

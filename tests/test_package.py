@@ -14,9 +14,9 @@ from oracles import advance, keystream_reference
 
 SUBMODULES = ("analysis", "cipher", "keystream", "prng", "stats")
 PUBLIC = """
-    ALPHA BernoulliGenerator BifurcationRecord CipherIOError CipherKey
-    CycleResult DegenerateKeyError KeyFormatError KeystreamGenerator MU_MAX
-    TestReport WORD_BITS WORD_MASK WeakMuError bifurcation_scan bits_from_bytes
+    ALPHA BernoulliGenerator CipherIOError CipherKey CycleResult
+    DegenerateKeyError KeyFormatError KeystreamGenerator MU_MAX TestReport
+    WORD_BITS WORD_MASK WeakMuError bifurcation_scan bits_from_bytes
     block_frequency_test byte_section coverage cusum_test cycle_length
     decrypt_bytes decrypt_stream encrypt_bytes encrypt_stream fft_test
     frequency_test generalization_factor generate_key keystream_bytes
