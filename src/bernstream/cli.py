@@ -172,11 +172,13 @@ def cmd_keystream(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
-    # Opening --out truncates it before --in is read; samefile also sees
-    # through symlinks and hard links.
-    if ("-" not in (args.infile, args.out) and os.path.exists(args.out)
-            and os.path.samefile(args.infile, args.out)):
-        raise ValueError(f"--in and --out name the same file: {args.infile}")
+    # Opening --out truncates it before --in is read, and would replace the
+    # key with the ciphertext; samefile also sees through symlinks and hard
+    # links.
+    if args.out != "-" and os.path.exists(args.out):
+        for flag, path in (("--in", args.infile), ("--key-file", args.key_file)):
+            if path not in (None, "-") and os.path.samefile(path, args.out):
+                raise ValueError(f"{flag} and --out name the same file: {path}")
     key = _load_key(args)
     with _binary_in(args.infile) as src, _binary_out(args.out) as dst:
         encrypt_stream(key, src, dst, allow_weak_mu=args.allow_weak_mu)

@@ -20,8 +20,10 @@ ALPHA = 0.01
 RECOMMENDED_MIN_BITS = 100
 DEFAULT_BLOCK_SIZE = 128
 MIN_SUITE_BYTES = 13
-# bits per chunk of the cumulative-sums walk (int32, so 256 KiB of scratch)
-_WALK_CHUNK = 1 << 16
+# bits per block of the cumulative-sums walk, and bits of candidate blocks
+# walked at once (int32, so 1 MiB of scratch)
+_WALK_CHUNK = 1 << 8
+_WALK_BATCH = 1 << 18
 # bytes of float64 or complex128 data per block of either FFT stage
 _FFT_BLOCK_BYTES = 1 << 21
 
@@ -67,6 +69,15 @@ def bits_from_bytes(data) -> np.ndarray:
     return np.unpackbits(np.frombuffer(buf, dtype=np.uint8))
 
 
+def _block_ones(arr: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The full blocks of size bits as rows, and the ones in each row.
+
+    Counts are exact in the smallest unsigned type that holds size.
+    """
+    rows = arr[:arr.size // size * size].reshape(-1, size)
+    return rows, rows.sum(axis=1, dtype=np.min_scalar_type(size))
+
+
 def _warn_short(n: int, test: str) -> None:
     if n < RECOMMENDED_MIN_BITS:
         warnings.warn(
@@ -80,7 +91,7 @@ def frequency_test(bits) -> TestReport:
     arr = as_bits(bits)
     n = arr.size
     _warn_short(n, "frequency")
-    s_n = 2 * int(arr.sum()) - n
+    s_n = 2 * int(np.count_nonzero(arr)) - n
     s_obs = abs(s_n) / sqrt(n)
     p = erfc(s_obs / sqrt(2.0))
     return _report("frequency", s_obs, p, {"n": n, "partial_sum": s_n})
@@ -100,7 +111,7 @@ def block_frequency_test(bits, block_size: int = DEFAULT_BLOCK_SIZE) -> TestRepo
         raise ValueError(
             f"block size {block_size} exceeds sequence length {n}")
     n_blocks = n // block_size
-    pis = arr[:n_blocks * block_size].reshape(n_blocks, block_size).mean(axis=1)
+    pis = _block_ones(arr, block_size)[1] / block_size
     chi2 = 4.0 * block_size * float(np.sum((pis - 0.5) ** 2))
     p = igamc(n_blocks / 2.0, chi2 / 2.0)
     return _report("block_frequency", chi2, p,
@@ -116,7 +127,7 @@ def runs_test(bits) -> TestReport:
     arr = as_bits(bits)
     n = arr.size
     _warn_short(n, "runs")
-    pi = float(arr.sum()) / n
+    pi = int(np.count_nonzero(arr)) / n
     if abs(pi - 0.5) >= 2.0 / sqrt(n):
         return _report("runs", 0.0, 0.0,
                        {"n": n, "proportion": pi,
@@ -135,20 +146,42 @@ def runs_test(bits) -> TestReport:
 def _walk(arr: np.ndarray) -> tuple[int, int, int]:
     """S_n, max S_k and min S_k of the +-1 walk S_k over k = 0..n, S_0 = 0.
 
-    One pass in int32 chunks of _WALK_CHUNK bits; S is carried across
-    chunks as a Python int, so no sum can overflow however long arr is.
+    The ones in each block of _WALK_CHUNK bits give S at every block
+    start; the ragged last block is walked whole. A block that starts at
+    S and holds c ones among L bits keeps the walk within
+    [S - (L - c), S + c], so only a block whose bound passes the extremes
+    of those known values can hold a new extreme. Those candidates alone
+    are walked bit by bit, _WALK_BATCH bits at a time. A batch's walk is
+    int32 and starts at 0, and S is int64, so no sum can overflow however
+    long arr is.
     """
-    total = top = bottom = 0
-    buf = np.empty(min(arr.size, _WALK_CHUNK), dtype=np.int32)
-    for start in range(0, arr.size, _WALK_CHUNK):
-        chunk = arr[start:start + _WALK_CHUNK]
-        walk = buf[:chunk.size]
-        np.multiply(chunk, 2, out=walk, dtype=np.int32)
+    size = _WALK_CHUNK
+    rows, ones = _block_ones(arr, size)
+    starts = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(2 * ones.astype(np.int64) - size, out=starts[1:])
+    tail = arr[rows.size:]
+    tail_walk = 2 * np.cumsum(tail, dtype=np.int64) - np.arange(1, tail.size + 1)
+    known = np.concatenate((starts, starts[-1] + tail_walk))
+    total, top, bottom = int(known[-1]), int(known.max()), int(known.min())
+    starts = starts[:-1]
+    high = starts + ones
+    candidates = np.flatnonzero((high > top) | (high - size < bottom))
+    batch = max(1, _WALK_BATCH // size)
+    buf = np.empty((min(batch, candidates.size), size), dtype=np.int32)
+    for i in range(0, candidates.size, batch):
+        blocks = candidates[i:i + batch]
+        np.multiply(rows[blocks], 2, out=buf[:blocks.size], dtype=np.int32)
+        walk = buf[:blocks.size].reshape(-1)
         walk -= 1
         np.cumsum(walk, out=walk)
-        top = max(top, total + int(walk.max()))
-        bottom = min(bottom, total + int(walk.min()))
-        total += int(walk[-1])
+        # a run of adjacent blocks is one stretch of the walk, a fixed offset
+        # from S; the -2 makes the batch's first block start a run
+        first = np.flatnonzero(np.diff(blocks, prepend=-2) != 1)
+        cuts = first * size
+        offset = starts[blocks[first]] - walk[cuts - 1]
+        offset[0] = starts[blocks[0]]  # the batch's walk starts at 0
+        top = max(top, int((np.maximum.reduceat(walk, cuts) + offset).max()))
+        bottom = min(bottom, int((np.minimum.reduceat(walk, cuts) + offset).min()))
     return total, top, bottom
 
 
@@ -157,10 +190,11 @@ def cusum_test(bits, mode: str = "forward") -> TestReport:
 
     z = max_k |S_k|; in reverse mode the sequence is reversed first. The
     reversed walk's partial sums are S_n - S_j (j = 0..n-1, S_0 = 0), so
-    both modes come from one int32 pass over the bits that keeps S_n and
-    the largest and smallest S_k, S_0 included: forward z = max(max S,
-    -min S), reverse z = max(S_n - min S, max S - S_n). Memory is one
-    chunk, whatever n. The P-value is the two standard-normal-CDF sums over
+    both modes come from one walk (see _walk) that keeps S_n and the
+    largest and smallest S_k, S_0 included: forward z = max(max S,
+    -min S), reverse z = max(S_n - min S, max S - S_n). Its scratch is a
+    few numbers per block of _WALK_CHUNK bits and one batch of blocks
+    walked bit by bit. The P-value is the two standard-normal-CDF sums over
     k in [floor((-n/z+1)/4), floor((n/z-1)/4)] and
     k in [floor((-n/z-3)/4), floor((n/z-1)/4)].
     """
@@ -289,7 +323,7 @@ def run_suite(data, block_size: int = DEFAULT_BLOCK_SIZE) -> list[TestReport]:
     exceeds the bit length it is clamped so short samples stay testable.
     Peak memory is about 73 B per input byte: one uint8 per bit, and the
     spectral test's half spectrum of 8 B per bit; every other test works
-    in place or in fixed-size chunks.
+    in place, in fixed-size chunks or on counts per block of bits.
     """
     buf = bytes(data)
     if len(buf) < MIN_SUITE_BYTES:

@@ -161,6 +161,29 @@ def test_in_place_output_is_refused(tmp_path, capsys, command, link):
     assert src.read_bytes() == msg
 
 
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+@pytest.mark.parametrize("link", ["same path", "symlink", "hard link"])
+def test_key_file_as_output_is_refused(tmp_path, capsys, command, link):
+    msg = random.Random(0x4BF).randbytes(1000)
+    src = tmp_path / "f.bin"
+    src.write_bytes(msg)
+    key = tmp_path / "k.hex"
+    key.write_text(SIM_KEY_HEX + "\n")
+    out = tmp_path / "g.bin"
+    if link == "same path":
+        out = key
+    elif link == "symlink":
+        out.symlink_to(key)
+    else:
+        os.link(key, out)
+    rc = main([command, "--key-file", str(key), "--in", str(src), "--out", str(out)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--key-file" in err and "--out" in err
+    assert key.read_bytes() == (SIM_KEY_HEX + "\n").encode()
+    assert src.read_bytes() == msg
+
+
 def test_pipe_composability_through_real_processes(tmp_path):
     msg = random.Random(0x91E).randbytes(50_000)
     enc = subprocess.run(

@@ -1,4 +1,6 @@
+import json
 import random
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -202,6 +204,11 @@ def _bits(n, p=0.5, seed=0):
     return (rng.random(n) < p).astype(np.uint8)
 
 
+def _walk_reference(bits):
+    walk = np.cumsum(bits.astype(np.int64) * 2 - 1)
+    return int(walk[-1]), max(0, int(walk.max())), min(0, int(walk.min()))
+
+
 def _spectral_oracle(bits):
     return stats._report("fft", *spectral_reference(bits))
 
@@ -318,6 +325,48 @@ class TestChunkedWalk:
         for mode in ("forward", "reverse"):
             assert cusum_test(bits, mode) == _cusum_oracle(bits, mode)
 
+    @pytest.mark.parametrize("batch", [1, 3, None])
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 64, stats._WALK_CHUNK])
+    def test_pruned_walk_edge_cases(self, chunk, batch):
+        # batch None keeps _WALK_BATCH; 1 and 3 walk one or three blocks at a time
+        batch_bits = stats._WALK_BATCH if batch is None else batch * chunk
+        peak = "1" * (chunk + chunk // 2 + 1) + "0" * (3 * chunk)
+        trough = "0" * (chunk + chunk // 2 + 1) + "1" * (3 * chunk)
+        walks = {
+            "alternating": np.tile(np.uint8([0, 1]), 5 * chunk + 3),
+            "alternating from one": np.tile(np.uint8([1, 0]), 5 * chunk + 3),
+            "peak inside a block": as_bits(peak),
+            "trough inside a block": as_bits(trough),
+            "peak inside a later block": as_bits("01" * chunk + peak),
+            "trough inside a later block": as_bits("10" * chunk + trough),
+            "p = 0.1": _bits(3 * chunk + 5, 0.1, seed=chunk),
+            "p = 0.9": _bits(3 * chunk + 5, 0.9, seed=chunk),
+        }
+        for n in (1, chunk - 1, chunk + 1, 3 * chunk + 5):
+            if n:
+                walks[f"{n} bits"] = _bits(n, seed=chunk)
+        with mock.patch.object(stats, "_WALK_CHUNK", chunk), \
+                mock.patch.object(stats, "_WALK_BATCH", batch_bits):
+            for name, bits in walks.items():
+                assert stats._walk(bits) == _walk_reference(bits), name
+                for mode in ("forward", "reverse"):
+                    assert _quiet(cusum_test, bits, mode) == _cusum_oracle(bits, mode), name
+
+    @pytest.mark.parametrize("batch_bits", [1 << 12, stats._WALK_BATCH])
+    def test_every_block_a_candidate_in_bounded_scratch(self, batch_bits):
+        # alternating bits make every block a candidate; walking them all at
+        # once would take 5 B per bit, against a batch plus a few numbers per block
+        n = 1 << 22
+        bits = np.tile(np.uint8([0, 1]), n // 2)
+        with mock.patch.object(stats, "_WALK_BATCH", batch_bits):
+            tracemalloc.start()
+            try:
+                assert stats._walk(bits) == (0, 0, -1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 5 * batch_bits + 64 * (n // stats._WALK_CHUNK)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=400), st.integers(1, 64))
     def test_random_walks_match_the_int64_cumsum(self, walk, chunk):
@@ -363,6 +412,27 @@ class TestRunSuite:
             for report in run_suite(data):
                 assert 0.0 <= report.p_value <= 1.0
                 assert report.passed == (report.p_value >= ALPHA)
+
+    @pytest.mark.parametrize("case", ["13 bytes", "odd bit count",
+                                      "runs prerequisite failed", "4 KiB random"])
+    def test_reports_are_plain_json(self, case):
+        if case == "odd bit count":
+            bits = _bits(1001)
+            reports = [frequency_test(bits), block_frequency_test(bits),
+                       runs_test(bits), cusum_test(bits, "forward"),
+                       cusum_test(bits, "reverse"), fft_test(bits)]
+            assert reports[-1].params["truncated_bits"] == 1
+        else:
+            data = {"13 bytes": bytes(range(13)),
+                    "runs prerequisite failed": b"\xff" * 100,
+                    "4 KiB random": random.Random(0x4B).randbytes(4096)}[case]
+            reports = _quiet(run_suite, data)
+        if case == "runs prerequisite failed":
+            assert "prerequisite" in reports[2].params
+        for report in reports:
+            json.dumps(report.to_json_dict())
+            for value in report.params.values():
+                assert type(value) in (int, float, str), (report.test, value)
 
     def test_json_dict_shape(self):
         report = frequency_test([0, 1] * 100)
