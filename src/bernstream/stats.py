@@ -26,6 +26,13 @@ _WALK_CHUNK = 1 << 8
 _WALK_BATCH = 1 << 18
 # bytes of float64 or complex128 data per block of either FFT stage
 _FFT_BLOCK_BYTES = 1 << 21
+# bits per slice in which the runs test compares neighbours
+_RUNS_SLICE = 1 << 16
+# (bits, walk) while run_suite runs: the bit array it built, which as_bits
+# passes unchecked, and the cumulative-sums walk of it, once one is taken.
+# Read once per call and matched by identity, so that a concurrent
+# run_suite, which replaces it, sends the other call down the full path.
+_suite = None
 
 
 class TestReport(NamedTuple):
@@ -51,6 +58,9 @@ def _report(test: str, statistic: float, p_value: float, params: dict) -> TestRe
 
 def as_bits(bits) -> np.ndarray:
     """Coerce a 0/1 sequence (or a '0101...' string) to a uint8 array."""
+    suite = _suite
+    if suite is not None and bits is suite[0]:
+        return bits
     if isinstance(bits, str):
         bits = [int(c) for c in bits]
     arr = np.asarray(bits, dtype=np.uint8)
@@ -132,7 +142,13 @@ def runs_test(bits) -> TestReport:
         return _report("runs", 0.0, 0.0,
                        {"n": n, "proportion": pi,
                         "prerequisite": "failed: |pi - 1/2| >= 2/sqrt(n)"})
-    v_obs = 1 + int(np.count_nonzero(arr[1:] != arr[:-1]))
+    # transitions between neighbours, counted slice by slice in one buffer
+    v_obs = 1
+    buf = np.empty(min(n - 1, _RUNS_SLICE), dtype=bool)
+    for a in range(0, n - 1, _RUNS_SLICE):
+        b = min(a + _RUNS_SLICE, n - 1)
+        np.not_equal(arr[a + 1:b + 1], arr[a:b], out=buf[:b - a])
+        v_obs += int(np.count_nonzero(buf[:b - a]))
     denom = 2.0 * sqrt(2.0 * n) * pi * (1.0 - pi)
     if denom == 0.0:
         # constant sequence short enough to slip past the prerequisite
@@ -196,14 +212,19 @@ def cusum_test(bits, mode: str = "forward") -> TestReport:
     few numbers per block of _WALK_CHUNK bits and one batch of blocks
     walked bit by bit. The P-value is the two standard-normal-CDF sums over
     k in [floor((-n/z+1)/4), floor((n/z-1)/4)] and
-    k in [floor((-n/z-3)/4), floor((n/z-1)/4)].
+    k in [floor((-n/z-3)/4), floor((n/z-1)/4)]. Within run_suite, the
+    reverse call takes the walk that the forward call took of the same bits.
     """
     if mode not in ("forward", "reverse"):
         raise ValueError(f"mode must be 'forward' or 'reverse': {mode!r}")
     arr = as_bits(bits)
     n = arr.size
     _warn_short(n, "cumulative sums")
-    total, top, bottom = _walk(arr)
+    suite = _suite
+    walk = suite[1] if suite is not None and arr is suite[0] else []
+    if not walk:
+        walk.extend(_walk(arr))
+    total, top, bottom = walk
     if mode == "forward":
         z = max(top, -bottom)
     else:
@@ -222,8 +243,14 @@ def cusum_test(bits, mode: str = "forward") -> TestReport:
 
 
 def _split(n: int) -> tuple[int, int]:
-    """n = n1 * n2 with n1 the largest divisor of n not above sqrt(n)."""
-    n1 = isqrt(n)
+    """n = n1 * n2 with n1 the largest divisor of n not above sqrt(2n).
+
+    Stage 1 transforms columns of length n2 and stage 2 rows of length
+    n1. Columns about half as long as rows fit twice as many into each
+    stage-1 block, so its transposed stores write runs twice as long:
+    2^25 splits as (8192, 4096), 64 columns and 1 KiB runs per 2 MiB.
+    """
+    n1 = isqrt(2 * n)
     while n % n1:
         n1 -= 1
     return n1, n // n1
@@ -250,38 +277,57 @@ def _twiddle(exponents: np.ndarray, n: int) -> np.ndarray:
     return np.exp(-2j * np.pi / n * exponents)
 
 
+def _twiddle_row(p: int, n1: int, n: int) -> np.ndarray:
+    """W_n ** (p * j1) for j1 = 0..n1-1, from two tables of about sqrt(n1).
+
+    With j1 = lo * u + v and 0 <= v < lo, the row is the outer product of
+    W_n ** (p * lo * u) and W_n ** (p * v), read in order; its exponents
+    stay below p * n1.
+    """
+    lo = isqrt(n1)
+    high = _twiddle(p * lo * np.arange(-(-n1 // lo)), n)
+    return np.multiply.outer(high, _twiddle(p * np.arange(lo), n)).reshape(-1)[:n1]
+
+
 def _count_below(arr: np.ndarray, n: int, threshold: float) -> int:
     """Count k < n/2 with |X[k]| < threshold, X the DFT of 2 * arr[:n] - 1.
 
-    A four-step FFT (Bailey 1990): with n = n1 * n2 and the bits viewed
-    as an (n2, n1) grid, real FFTs of length n2 down the columns give the
-    half spectrum rows k2 = 0..n2//2; each row is then multiplied by
-    W_n ** (j1 * k2) and transformed along its length n1, which gives
-    X[k2 + n2 * k1]. Both stages run in blocks of about _FFT_BLOCK_BYTES,
-    and only the stage-1 half spectrum (8 B per bit) stays resident.
-    For n1 = 1 this is one rfft of length n.
+    The 0/1 bits are transformed as they are, with no +-1 pass. A four-step
+    FFT (Bailey 1990): with n = n1 * n2 and the bits viewed as an (n2, n1)
+    grid, real FFTs of length n2 down the columns give the half spectrum
+    rows k2 = 0..n2//2. Only row k2 = 0, each column's sum, differs for the
+    +-1 sequence other than by a factor 2: subtracting n2/2 from it leaves
+    exactly half of every +-1 column spectrum. Each row is then multiplied
+    by W_n ** (j1 * k2) and transformed along its length n1, which gives
+    X[k2 + n2 * k1] / 2, counted against threshold / 2; halving both sides
+    is exact. Both stages run in blocks of about _FFT_BLOCK_BYTES: stage 1
+    fills one float block in place, and stage 2 builds each block's
+    twiddle row from two short tables (see _twiddle_row). Only the stage-1
+    half spectrum (8 B per bit) stays resident.
     """
     n1, n2 = _split(n)
     rows = n2 // 2 + 1
     grid = arr[:n].reshape(n2, n1)
     half = np.empty((rows, n1), dtype=np.complex128)
-    width = max(1, _FFT_BLOCK_BYTES // (8 * n2))
+    width = max(1, min(n1, _FFT_BLOCK_BYTES // (8 * n2)))
+    x = np.empty((width, n2))
     for a in range(0, n1, width):
+        w = min(width, n1 - a)
         # copy the columns first so that the transpose reads from cache
-        columns = np.ascontiguousarray(grid[:, a:a + width])
-        x = np.multiply(columns.T, 2.0, dtype=np.float64, order="C")
-        x -= 1.0
-        half[:, a:a + width] = np.fft.rfft(x, axis=1).T
+        x[:w] = np.ascontiguousarray(grid[:, a:a + w]).T
+        half[:, a:a + w] = np.fft.rfft(x[:w], axis=1).T
+    del x
+    half[0] -= n2 / 2
     height = max(1, min(rows, _FFT_BLOCK_BYTES // (16 * n1)))
-    j1 = np.arange(n1)
-    table = _twiddle(np.arange(height)[:, None] * j1, n)
+    table = _twiddle(np.arange(height)[:, None] * np.arange(n1), n)
+    limit = threshold / 2
     below = 0
     for p in range(0, rows, height):
         block = half[p:p + height]
         block *= table[:len(block)]
         if p:
-            block *= _twiddle(p * j1, n)
-        small = np.abs(np.fft.fft(block, axis=1)) < threshold
+            block *= _twiddle_row(p, n1, n)
+        small = np.abs(np.fft.fft(block, axis=1)) < limit
         below += int(np.count_nonzero(small))
         for k2 in {0, n2 // 2}:
             if p <= k2 < p + len(block):
@@ -294,9 +340,10 @@ def fft_test(bits) -> TestReport:
 
     Counts the moduli of the first n/2 Fourier coefficients of the +-1
     sequence that fall below T; an odd trailing bit is truncated and
-    recorded. The transform is a blocked four-step FFT (see _count_below)
-    that never holds a float copy of the whole sequence: its peak is the
-    half spectrum, 8 B per bit, plus a few blocks of _FFT_BLOCK_BYTES.
+    recorded; params["threshold"] is T. The transform is a blocked
+    four-step FFT of the 0/1 bits (see _count_below) that never holds a
+    float copy of the whole sequence: its peak is the half spectrum, 8 B
+    per bit, plus a few blocks of _FFT_BLOCK_BYTES.
     """
     arr = as_bits(bits)
     truncated = arr.size % 2
@@ -321,21 +368,29 @@ def run_suite(data, block_size: int = DEFAULT_BLOCK_SIZE) -> list[TestReport]:
 
     Requires at least 13 bytes (>= 104 bits). If the requested block size
     exceeds the bit length it is clamped so short samples stay testable.
-    Peak memory is about 73 B per input byte: one uint8 per bit, and the
-    spectral test's half spectrum of 8 B per bit; every other test works
-    in place, in fixed-size chunks or on counts per block of bits.
+    Each test is called by name on the bit array built here, which is
+    checked once: while the tests run, as_bits passes that array through,
+    and the two cumulative-sums calls share one walk. Peak memory is
+    about 73 B per input byte: one uint8 per bit, and the spectral test's
+    half spectrum of 8 B per bit; every other test works in place, in
+    fixed-size slices or on counts per block of bits.
     """
+    global _suite
     buf = bytes(data)
     if len(buf) < MIN_SUITE_BYTES:
         raise ValueError(
             f"need at least {MIN_SUITE_BYTES} bytes, got {len(buf)}")
     bits = bits_from_bytes(buf)
     m = min(block_size, bits.size)
-    return [
-        frequency_test(bits),
-        block_frequency_test(bits, m),
-        runs_test(bits),
-        cusum_test(bits, "forward"),
-        cusum_test(bits, "reverse"),
-        fft_test(bits),
-    ]
+    _suite = (bits, [])
+    try:
+        return [
+            frequency_test(bits),
+            block_frequency_test(bits, m),
+            runs_test(bits),
+            cusum_test(bits, "forward"),
+            cusum_test(bits, "reverse"),
+            fft_test(bits),
+        ]
+    finally:
+        _suite = None

@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -122,6 +124,26 @@ class TestRuns:
         mixed = runs_test(_pad_balanced("010101"))
         assert grouped.p_value != mixed.p_value
 
+    @pytest.mark.parametrize("slice_bits", [1, 2, 3, 7, None])
+    def test_transitions_counted_across_slices(self, slice_bits):
+        # None keeps _RUNS_SLICE. Alternating bits change at every slice
+        # boundary; the second pattern alternates but repeats its bit across
+        # each boundary, so it changes everywhere except there.
+        size = stats._RUNS_SLICE if slice_bits is None else slice_bits
+        lengths = {1, 2, size - 1, size, size + 1, 2 * size, 3 * size + 2}
+        with mock.patch.object(stats, "_RUNS_SLICE", size):
+            for n in sorted(lengths - {0}):
+                i = np.arange(n)
+                for bits in ((i % 2).astype(np.uint8), ((i + i // size) % 2).astype(np.uint8),
+                             _bits(n, seed=size)):
+                    report = _quiet(runs_test, bits)
+                    if report.statistic:  # 0 when the monobit prerequisite failed
+                        assert report.statistic == _runs_count(bits), n
+
+
+def _runs_count(bits):
+    return 1 + int(np.count_nonzero(bits[1:] != bits[:-1]))
+
 
 def _pad_balanced(core):
     # embed a witness pattern in a balanced carrier so the prerequisite holds
@@ -209,6 +231,13 @@ def _walk_reference(bits):
     return int(walk[-1]), max(0, int(walk.max())), min(0, int(walk.min()))
 
 
+def _direct_count(bits):
+    """Moduli below T among the first n/2 of the O(n^2) DFT of the +-1 bits."""
+    n = bits.size
+    moduli = np.abs(dft_direct(bits * 2.0 - 1.0)[: n // 2])
+    return int(np.count_nonzero(moduli < np.sqrt(n * np.log(1 / 0.05))))
+
+
 def _spectral_oracle(bits):
     return stats._report("fft", *spectral_reference(bits))
 
@@ -262,10 +291,57 @@ class TestBlockedSpectrum:
         report = _quiet(fft_test, bits)
         assert report.params["below_threshold"] == int(np.count_nonzero(moduli < threshold))
 
-    @pytest.mark.parametrize("n, split", [(2, (1, 2)), (8, (2, 4)), (104, (8, 13)),
-                                          (2 * 10007, (2, 10007)), (10 ** 6, (1000, 1000)),
-                                          (2 ** 25, (4096, 8192))])
+    @pytest.mark.parametrize("block_bytes", [16, 1000, 40000, None])
+    @pytest.mark.parametrize("p", [0.0, 1.0, 0.01, 0.99])
+    def test_zero_one_transform_edge_cases(self, p, block_bytes):
+        # all zeros and all ones put all the +-1 power at k = 0, where the 0/1
+        # transform differs; None keeps _FFT_BLOCK_BYTES
+        size = stats._FFT_BLOCK_BYTES if block_bytes is None else block_bytes
+        with mock.patch.object(stats, "_FFT_BLOCK_BYTES", size):
+            for n in (104, 130, 1000, 30030):
+                bits = _bits(n, p, seed=size)
+                report = _quiet(fft_test, bits)
+                assert report == _spectral_oracle(bits), n
+                if n <= 1000:
+                    assert report.params["below_threshold"] == _direct_count(bits), n
+
+    @pytest.mark.parametrize("block_bytes", [16, 1000, 40000, None])
+    @pytest.mark.parametrize("n, split", [(130, (1, 130)), (4096, (1, 4096)), (130, (5, 26)),
+                                          (130, (13, 10)), (1000, (1000, 1)), (30030, (3, 10010)),
+                                          (30030, (1155, 26)), (30030, (15015, 2))])
+    def test_any_split_counts_like_the_oracles(self, n, split, block_bytes):
+        # n1 = 1; n1 odd; and at 1000 bytes n1 = 1155 against a stage-1 width
+        # of 4 columns, so the last stage-1 block is ragged
+        size = stats._FFT_BLOCK_BYTES if block_bytes is None else block_bytes
+        with mock.patch.object(stats, "_FFT_BLOCK_BYTES", size), \
+                mock.patch.object(stats, "_split", lambda m: split):
+            for p in (0.0, 0.5, 0.99):
+                bits = _bits(n, p, seed=n)
+                report = _quiet(fft_test, bits)
+                assert report == _spectral_oracle(bits), p
+                if n <= 1000:
+                    assert report.params["below_threshold"] == _direct_count(bits), p
+
+    def test_scratch_is_a_few_blocks_beside_the_half_spectrum(self):
+        # the half spectrum is 8 B per bit, and the peak beside it about 2.5
+        # blocks; a block held into the next one, the stage-1 buffer kept
+        # into stage 2, or a float copy of the sequence would exceed the bound
+        n = 1 << 22
+        bits = _bits(n)
+        tracemalloc.start()
+        try:
+            report = fft_test(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(report.statistic) < 5
+        assert peak < 8 * n + 3 * stats._FFT_BLOCK_BYTES
+
+    @pytest.mark.parametrize("n, split", [(2, (2, 1)), (8, (4, 2)), (104, (13, 8)),
+                                          (2 * 10007, (2, 10007)), (10 ** 6, (1250, 800)),
+                                          (2 ** 25, (8192, 4096))])
     def test_split_takes_the_divisor_nearest_below_the_root(self, n, split):
+        # the root of 2n: the largest divisor of n not above sqrt(2n)
         assert stats._split(n) == split
 
     @pytest.mark.parametrize("n1, n2", [(2, 3), (4, 5), (6, 9), (8, 13), (2, 10007),
@@ -433,6 +509,64 @@ class TestRunSuite:
             json.dumps(report.to_json_dict())
             for value in report.params.values():
                 assert type(value) in (int, float, str), (report.test, value)
+
+    def test_bits_are_checked_and_walked_once(self):
+        data = random.Random(0x5A).randbytes(5000)
+        checked = []
+
+        def asarray(a, *args, **kwargs):
+            checked.append(a)
+            return asarray.real(a, *args, **kwargs)
+
+        asarray.real = np.asarray
+        with mock.patch.object(stats, "_walk", wraps=stats._walk) as walk, \
+                mock.patch.object(stats.np, "asarray", asarray):
+            reports = run_suite(data)
+        assert walk.call_count == 1
+        # as_bits passed run_suite's own bits through without a rescan
+        assert not [a for a in checked if np.shape(a) == (8 * len(data),)]
+        assert reports == _quiet(oracle_suite, data)
+        assert stats._suite is None
+
+    def test_suite_state_is_cleared_when_a_test_raises(self):
+        with mock.patch.object(stats, "fft_test", side_effect=RuntimeError("boom")):
+            with pytest.raises(RuntimeError):
+                run_suite(b"\x5a" * 100)
+        assert stats._suite is None
+
+    def test_a_callers_own_bits_are_always_checked(self):
+        # while another call's run_suite holds its bits and their walk, a
+        # caller's own array is validated and walked afresh
+        theirs = _bits(4000, seed=3)
+        mine = _bits(4000, 0.3, seed=4)
+        with mock.patch.object(stats, "_suite", (theirs, list(stats._walk(theirs)))):
+            with pytest.raises(ValueError):
+                as_bits(np.array([0, 1, 2], dtype=np.uint8))
+            for mode in ("forward", "reverse"):
+                assert cusum_test(mine, mode) == _cusum_oracle(mine, mode)
+
+    def test_concurrent_suites_match_their_sequential_runs(self):
+        datas = [random.Random(7).randbytes(30000), bytes(range(256)) * 80]
+        want = [run_suite(data) for data in datas]
+        got = [[], []]
+
+        def work(i):
+            for _ in range(8):
+                got[i].append(run_suite(datas[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i in range(2):
+            assert got[i] == [want[i]] * 8
 
     def test_json_dict_shape(self):
         report = frequency_test([0, 1] * 100)
