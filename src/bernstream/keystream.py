@@ -154,9 +154,8 @@ class KeystreamGenerator:
         recorded from the first word of the read that reaches the threshold,
         or afresh from its generator's state if that moved (by iterate()).
         Of k words served, an orbit steps at most min(k, tail + period +
-        CYCLE_BLOCK) + CYCLE_BLOCK. A stepped window without data is the
-        fold's bytes as they are, with no int between. Then both generators
-        hold the state that n steps reach.
+        CYCLE_BLOCK) + CYCLE_BLOCK. Then both generators hold the state that
+        n steps reach.
         """
         if n < 0:
             raise ValueError(f"byte count must be >= 0: {n!r}")
@@ -175,12 +174,8 @@ class KeystreamGenerator:
                 m = (int.from_bytes(orbits[0].serve(size), "little")
                      ^ int.from_bytes(orbits[1].serve(size), "little"))
             else:
-                folded = _fold(array("I", self.gen_a.iterate(size)),
-                               array("I", self.gen_b.iterate(size)))
-                if view is None:
-                    out.append(folded)
-                    continue
-                m = int.from_bytes(folded, "little")
+                m = int.from_bytes(_fold(array("I", self.gen_a.iterate(size)),
+                                         array("I", self.gen_b.iterate(size))), "little")
             if view is not None:
                 m ^= int.from_bytes(view[start:start + size], "little")
             out.append(m.to_bytes(size, "little"))

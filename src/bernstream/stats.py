@@ -28,11 +28,6 @@ _WALK_BATCH = 1 << 18
 _FFT_BLOCK_BYTES = 1 << 21
 # bits per slice in which the runs test compares neighbours
 _RUNS_SLICE = 1 << 16
-# (bits, walk) while run_suite runs: the bit array it built, which as_bits
-# passes unchecked, and the cumulative-sums walk of it, once one is taken.
-# Read once per call and matched by identity, so that a concurrent
-# run_suite, which replaces it, sends the other call down the full path.
-_suite = None
 
 
 class TestReport(NamedTuple):
@@ -58,9 +53,6 @@ def _report(test: str, statistic: float, p_value: float, params: dict) -> TestRe
 
 def as_bits(bits) -> np.ndarray:
     """Coerce a 0/1 sequence (or a '0101...' string) to a uint8 array."""
-    suite = _suite
-    if suite is not None and bits is suite[0]:
-        return bits
     if isinstance(bits, str):
         bits = [int(c) for c in bits]
     arr = np.asarray(bits, dtype=np.uint8)
@@ -212,19 +204,14 @@ def cusum_test(bits, mode: str = "forward") -> TestReport:
     few numbers per block of _WALK_CHUNK bits and one batch of blocks
     walked bit by bit. The P-value is the two standard-normal-CDF sums over
     k in [floor((-n/z+1)/4), floor((n/z-1)/4)] and
-    k in [floor((-n/z-3)/4), floor((n/z-1)/4)]. Within run_suite, the
-    reverse call takes the walk that the forward call took of the same bits.
+    k in [floor((-n/z-3)/4), floor((n/z-1)/4)].
     """
     if mode not in ("forward", "reverse"):
         raise ValueError(f"mode must be 'forward' or 'reverse': {mode!r}")
     arr = as_bits(bits)
     n = arr.size
     _warn_short(n, "cumulative sums")
-    suite = _suite
-    walk = suite[1] if suite is not None and arr is suite[0] else []
-    if not walk:
-        walk.extend(_walk(arr))
-    total, top, bottom = walk
+    total, top, bottom = _walk(arr)
     if mode == "forward":
         z = max(top, -bottom)
     else:
@@ -368,29 +355,21 @@ def run_suite(data, block_size: int = DEFAULT_BLOCK_SIZE) -> list[TestReport]:
 
     Requires at least 13 bytes (>= 104 bits). If the requested block size
     exceeds the bit length it is clamped so short samples stay testable.
-    Each test is called by name on the bit array built here, which is
-    checked once: while the tests run, as_bits passes that array through,
-    and the two cumulative-sums calls share one walk. Peak memory is
-    about 73 B per input byte: one uint8 per bit, and the spectral test's
-    half spectrum of 8 B per bit; every other test works in place, in
-    fixed-size slices or on counts per block of bits.
+    Peak memory is about 73 B per input byte: one uint8 per bit, and the
+    spectral test's half spectrum of 8 B per bit; every other test works
+    in place, in fixed-size slices or on counts per block of bits.
     """
-    global _suite
     buf = bytes(data)
     if len(buf) < MIN_SUITE_BYTES:
         raise ValueError(
             f"need at least {MIN_SUITE_BYTES} bytes, got {len(buf)}")
     bits = bits_from_bytes(buf)
     m = min(block_size, bits.size)
-    _suite = (bits, [])
-    try:
-        return [
-            frequency_test(bits),
-            block_frequency_test(bits, m),
-            runs_test(bits),
-            cusum_test(bits, "forward"),
-            cusum_test(bits, "reverse"),
-            fft_test(bits),
-        ]
-    finally:
-        _suite = None
+    return [
+        frequency_test(bits),
+        block_frequency_test(bits, m),
+        runs_test(bits),
+        cusum_test(bits, "forward"),
+        cusum_test(bits, "reverse"),
+        fft_test(bits),
+    ]

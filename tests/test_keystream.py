@@ -337,26 +337,6 @@ def test_keystream_bytes_matches_reference():
     assert got == want
 
 
-def _random_keys(count, seed):
-    rng, keys = random.Random(seed), []
-    while len(keys) < count:
-        try:
-            keys.append(parse_key(f"{rng.getrandbits(80):020X}"))
-        except ValueError:  # a weak or degenerate draw
-            pass
-    return keys
-
-
-def test_reads_without_data_match_reads_with_zero_data():
-    # a stepped window without data skips the int that a window with data
-    # goes through; 65,536 bytes reach TABLE_THRESHOLD and the orbits
-    for key in [SIM_KEY] + _random_keys(12, seed=14):
-        want = KeystreamGenerator.from_key(key).read(65536, bytes(65536))
-        assert want[:64] == keystream_reference(key.seed1, key.mu1, key.seed2, key.mu2, 64)
-        for n in (1, 4095, 16384, 65535, 65536):
-            assert KeystreamGenerator.from_key(key).read(n) == want[:n], (key, n)
-
-
 def test_table_path_matches_scalar_across_boundaries(monkeypatch):
     # both periods above _BLOCK; a's tail ends past the threshold
     assert_chunked_reads_exact(monkeypatch, SIM_KEY, [SIM_ORBIT_A, SIM_ORBIT_B], SIM_LONG)

@@ -1,7 +1,5 @@
 import json
 import random
-import sys
-import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -509,64 +507,6 @@ class TestRunSuite:
             json.dumps(report.to_json_dict())
             for value in report.params.values():
                 assert type(value) in (int, float, str), (report.test, value)
-
-    def test_bits_are_checked_and_walked_once(self):
-        data = random.Random(0x5A).randbytes(5000)
-        checked = []
-
-        def asarray(a, *args, **kwargs):
-            checked.append(a)
-            return asarray.real(a, *args, **kwargs)
-
-        asarray.real = np.asarray
-        with mock.patch.object(stats, "_walk", wraps=stats._walk) as walk, \
-                mock.patch.object(stats.np, "asarray", asarray):
-            reports = run_suite(data)
-        assert walk.call_count == 1
-        # as_bits passed run_suite's own bits through without a rescan
-        assert not [a for a in checked if np.shape(a) == (8 * len(data),)]
-        assert reports == _quiet(oracle_suite, data)
-        assert stats._suite is None
-
-    def test_suite_state_is_cleared_when_a_test_raises(self):
-        with mock.patch.object(stats, "fft_test", side_effect=RuntimeError("boom")):
-            with pytest.raises(RuntimeError):
-                run_suite(b"\x5a" * 100)
-        assert stats._suite is None
-
-    def test_a_callers_own_bits_are_always_checked(self):
-        # while another call's run_suite holds its bits and their walk, a
-        # caller's own array is validated and walked afresh
-        theirs = _bits(4000, seed=3)
-        mine = _bits(4000, 0.3, seed=4)
-        with mock.patch.object(stats, "_suite", (theirs, list(stats._walk(theirs)))):
-            with pytest.raises(ValueError):
-                as_bits(np.array([0, 1, 2], dtype=np.uint8))
-            for mode in ("forward", "reverse"):
-                assert cusum_test(mine, mode) == _cusum_oracle(mine, mode)
-
-    def test_concurrent_suites_match_their_sequential_runs(self):
-        datas = [random.Random(7).randbytes(30000), bytes(range(256)) * 80]
-        want = [run_suite(data) for data in datas]
-        got = [[], []]
-
-        def work(i):
-            for _ in range(8):
-                got[i].append(run_suite(datas[i]))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        for i in range(2):
-            assert got[i] == [want[i]] * 8
 
     def test_json_dict_shape(self):
         report = frequency_test([0, 1] * 100)
