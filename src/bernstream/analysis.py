@@ -57,11 +57,11 @@ def bifurcation_scan(mu_min: int, mu_max: int, x0: int,
                      section: int = 1):
     """Asymptotic byte-section samples for every mu in [mu_min, mu_max].
 
-    Returns a uint8 numpy array of shape (mu_max - mu_min + 1, samples):
-    row k is the orbit for mu_min + k, run afresh from x0, with
-    `transient` outputs discarded and then byte `section` of the next
-    `samples` outputs. Every orbit is stepped at once, as one vector of
-    uint64 lanes, so the scan loads numpy. Identical parameters give
+    Returns a C-contiguous uint8 numpy array of shape (mu_max - mu_min
+    + 1, samples): row k is the orbit for mu_min + k, run afresh from x0,
+    with `transient` outputs discarded and then byte `section` of the
+    next `samples` outputs. Every orbit is stepped at once, as one vector
+    of uint64 lanes, so the scan loads numpy. Identical parameters give
     identical arrays.
     """
     _check_mu(mu_min)
@@ -77,27 +77,25 @@ def bifurcation_scan(mu_min: int, mu_max: int, x0: int,
     import numpy as np  # here, not at module level: `cycle` runs without numpy
 
     mus = range(mu_min, mu_max + 1)
-    # Assigning a wider integer array to this uint8 one keeps its low byte.
-    out = np.empty((len(mus), samples), dtype=np.uint8)
     mu = np.array(mus, dtype=np.uint64)
     gf = (256 - mu) << 23
-    x = np.full(len(mus), x0, dtype=np.uint64)
-    low31, seven, to_byte = np.uint64(0x7FFFFFFF), np.uint64(7), np.uint64(shift)
-    byte = np.empty_like(x)
-
-    def step():
+    x = np.full_like(mu, x0)
+    # Array operands and a positional `out` cost numpy less per call than
+    # scalars and keywords, and a call costs more here than 256 lanes of
+    # arithmetic. Each sample's byte goes straight into row i of a uint8
+    # array (the unsafe cast keeps the low byte), so only bytes are kept,
+    # and the rows are transposed once at the end.
+    low31, seven, to_byte = (np.full_like(mu, c) for c in (0x7FFFFFFF, 7, shift))
+    rows = np.empty((samples, len(mus)), dtype=np.uint8)
+    for i in range(-transient, samples):
         # BernoulliGenerator.iterate's step; the product fits in 39 bits
-        np.bitwise_and(x, low31, out=x)
-        np.multiply(x, mu, out=x)
-        np.right_shift(x, seven, out=x)
-        np.add(x, gf, out=x)
-
-    for _ in range(transient):
-        step()
-    for column in out.T:
-        step()
-        column[:] = np.right_shift(x, to_byte, out=byte)
-    return out
+        np.bitwise_and(x, low31, x)
+        np.multiply(x, mu, x)
+        np.right_shift(x, seven, x)
+        np.add(x, gf, x)
+        if i >= 0:
+            np.right_shift(x, to_byte, rows[i], casting="unsafe")
+    return np.ascontiguousarray(rows.T)
 
 
 def coverage(seed: int, mu: int, section: int, n: int) -> float:
@@ -139,6 +137,8 @@ def write_bifurcation_csv(values, mu_min: int, section: int, stream) -> None:
     """
     digits = [f"{v}\n" for v in range(256)]
     stream.write(CSV_HEADER + "\n")
-    for mu, row in enumerate(values.tolist(), mu_min):
+    # One row at a time: a whole-array tolist() would hold a pointer per sample.
+    for mu, row in enumerate(values, mu_min):
         prefix = f"{mu},{section},"
-        stream.write("".join([prefix + digits[v] for v in row]))
+        lines = [prefix + d for d in digits]
+        stream.write("".join(map(lines.__getitem__, row.tolist())))

@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,11 +87,12 @@ def test_scan_and_csv_match_oracle(width, x0):
     mu_min = 0 if x0 == 0 else 256 - width
     mu_max = mu_min + width - 1
     for section in (1, 2, 3, 4):
-        for transient, samples in ((0, 3), (11, 2)):
+        for transient, samples in ((0, 1), (0, 3), (11, 2)):
             expected = reference_scan(mu_min, mu_max, x0, transient, samples, section)
             values = bifurcation_scan(mu_min, mu_max, x0, transient=transient,
                                       samples=samples, section=section)
             assert values.shape == (width, samples)
+            assert values.dtype == np.uint8 and values.flags.c_contiguous
             assert values.tolist() == expected
             buf = io.StringIO()
             write_bifurcation_csv(values, mu_min, section, buf)
@@ -131,6 +133,30 @@ def test_scan_rejects_out_of_range_x0():
             bifurcation_scan(0, 255, x0)
         with pytest.raises(ValueError):
             bifurcation_scan(0, 0, x0)
+
+
+def test_scan_and_csv_keep_a_few_bytes_per_sample():
+    # the scan keeps one byte per sample, twice (its rows, then their
+    # transpose), and the CSV converts one row at a time; recording uint64
+    # words or converting the whole array with tolist() exceeds the bound
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    lanes, samples = 256, 1000
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        values = bifurcation_scan(0, lanes - 1, 0xAAAAAAAA, transient=10,
+                                  samples=samples, section=3)
+        write_bifurcation_csv(values, 0, 3, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * lanes * samples + (64 << 10)
+    assert sink.size > lanes * samples * len("0,3,0\n")
 
 
 def test_csv_output_format():

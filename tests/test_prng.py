@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bernstream.prng import (MU_MAX, WORD_MASK, BernoulliGenerator,
+from bernstream.prng import (CYCLE_BLOCK, MU_MAX, WORD_MASK, BernoulliGenerator,
                              generalization_factor, max_step_value, step)
 
 from oracles import advance, orbit_reference, step_reference
@@ -127,6 +127,9 @@ class TestBernoulliGenerator:
         gen = BernoulliGenerator(42, 170)
         assert gen.iterate(0) == []
         assert gen.x == 42
+        gen.iterate(5)
+        assert gen.iterate(0) == []
+        assert gen.x == advance(42, 170, 5)
 
     def test_iterate_single(self):
         gen = BernoulliGenerator(DEMO_SEED, DEMO_MU)
@@ -155,3 +158,17 @@ class TestBernoulliGenerator:
     def test_iterate_matches_reference_orbit(self):
         gen = BernoulliGenerator(DEMO_SEED, DEMO_MU)
         assert gen.iterate(64) == orbit_reference(DEMO_SEED, DEMO_MU, 64)
+
+
+@pytest.mark.parametrize("mu", [0, 1, 127, 128, 129, 255])
+@pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**31, 2**32 - 1])
+def test_iterate_equals_the_oracle_at_the_edges(seed, mu):
+    # the extreme words and the mu at each end and either side of 128, for
+    # counts around the block in which cycle searches and orbits step
+    orbit = orbit_reference(seed, mu, CYCLE_BLOCK + 1)
+    for n in (1, CYCLE_BLOCK - 1, CYCLE_BLOCK, CYCLE_BLOCK + 1):
+        gen = BernoulliGenerator(seed, mu)
+        words = gen.iterate(n)
+        assert type(words) is list
+        assert words == orbit[:n]
+        assert gen.x == orbit[n - 1]
