@@ -115,17 +115,14 @@ def cycle_length(seed: int, mu: int,
     """Tail and minimal period of the orbit from `seed`, in a single pass.
 
     prng.find_cycle runs prng.cycle_blocks, the closure that the keystream's
-    orbits also run, to the end. It keeps no words: only a mark at each
-    prng.CYCLE_BLOCK-word block start and the last two blocks, from which
-    it replays the words after the last mark off the cycle when those
-    blocks do not hold them. Memory grows with max_steps /
-    prng.CYCLE_BLOCK, the number of marks. Every map evaluation counts
-    against `max_steps`: whole blocks (the last one cut to the budget) and
-    the replay. So steps_examined <= max_steps, and it exceeds tail +
-    period by less than three blocks.
+    orbits also run, to the end. It keeps every state it steps, 4 bytes
+    each in an array('I'), and a mark at each prng.CYCLE_BLOCK-word block
+    start, and places the tail from those words. Every map evaluation
+    counts against `max_steps`: whole blocks, the last one cut to the
+    budget. So steps_examined <= max_steps, and it exceeds tail + period
+    by less than two blocks. An out-of-range seed or mu raises
+    ValueError, from the generator's first step.
     """
-    _check_word(seed)
-    _check_mu(mu)
     if max_steps < 1:
         raise ValueError(f"step budget must be >= 1: {max_steps!r}")
     return CycleResult(*find_cycle(seed, mu, max_steps))

@@ -160,9 +160,22 @@ def cmd_keygen(args) -> int:
     return EXIT_OK
 
 
+def _refuse_as_out(out: str, *inputs: tuple[str, str | None]) -> None:
+    """Refuse an --out that names the same file as one of the (flag, path)
+    inputs. Opening --out truncates it before the input is read, and would
+    replace a key with keystream or ciphertext; samefile also sees through
+    symlinks and hard links.
+    """
+    if out != "-" and os.path.exists(out):
+        for flag, path in inputs:
+            if path not in (None, "-") and os.path.samefile(path, out):
+                raise ValueError(f"{flag} and --out name the same file: {path}")
+
+
 def cmd_keystream(args) -> int:
     if args.bytes < 0:
         raise ValueError("--bytes must be >= 0")
+    _refuse_as_out(args.out, ("--key-file", args.key_file))
     key = _load_key(args)
     gen = KeystreamGenerator.from_key(key, allow_weak_mu=args.allow_weak_mu)
     with _binary_out(args.out) as dst:
@@ -172,13 +185,7 @@ def cmd_keystream(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
-    # Opening --out truncates it before --in is read, and would replace the
-    # key with the ciphertext; samefile also sees through symlinks and hard
-    # links.
-    if args.out != "-" and os.path.exists(args.out):
-        for flag, path in (("--in", args.infile), ("--key-file", args.key_file)):
-            if path not in (None, "-") and os.path.samefile(path, args.out):
-                raise ValueError(f"{flag} and --out name the same file: {path}")
+    _refuse_as_out(args.out, ("--in", args.infile), ("--key-file", args.key_file))
     key = _load_key(args)
     with _binary_in(args.infile) as src, _binary_out(args.out) as dst:
         encrypt_stream(key, src, dst, allow_weak_mu=args.allow_weak_mu)

@@ -111,15 +111,14 @@ class BernoulliGenerator:
 
 # Words per block of cycle_blocks, for analysis.cycle_length and the
 # keystream's recorded orbits, which take it from here alone. A closure
-# steps less than two blocks past tail + period, three with a replay, so a
-# smaller block oversteps less; it costs one mark and one set() per block.
+# steps less than two blocks past tail + period, so a smaller block
+# oversteps less; it costs one mark and one set() per block.
 CYCLE_BLOCK = 4096
 
 
-def find_cycle(x: int, mu: int, max_steps: int,
-               words: array | None = None) -> tuple[int | None, int | None, int]:
+def find_cycle(x: int, mu: int, max_steps: int) -> tuple[int | None, int | None, int]:
     """cycle_blocks run to the end: (tail, period, steps) of the orbit from x."""
-    blocks = cycle_blocks(x, mu, max_steps, words)
+    blocks = cycle_blocks(x, mu, max_steps, array("I"))
     while True:
         try:
             next(blocks)
@@ -127,7 +126,7 @@ def find_cycle(x: int, mu: int, max_steps: int,
             return done.value
 
 
-def cycle_blocks(x: int, mu: int, max_steps: int, words: array | None = None):
+def cycle_blocks(x: int, mu: int, max_steps: int, words: array):
     """Tail and minimal period of the orbit from x, in a single pass, and
     the number of steps taken: (tail, period, steps), returned by a
     generator that yields after every block that does not close the orbit.
@@ -141,28 +140,23 @@ def cycle_blocks(x: int, mu: int, max_steps: int, words: array | None = None):
     is off the cycle, or it would have recurred before e; so the tail is
     the first t in (s, o] with x_t == x_{t + period}.
 
-    With `words`, each block of words x_1, x_2, ... is appended to it before
-    the generator yields, and the tail is placed from those. Without, only
-    the marks and the last two blocks are kept; when those do not hold the
-    words after s, they are replayed from that mark, o - s steps that count
-    against the budget. Memory then grows with max_steps / CYCLE_BLOCK marks.
+    Each block of words x_1, x_2, ... is appended to `words`, an
+    array('I'), before the generator yields, and the tail is placed from
+    those: memory grows by 4 bytes a step.
 
     Every map evaluation counts against `max_steps`, so steps <=
-    max_steps, and steps exceeds tail + period by less than three blocks.
+    max_steps, and steps exceeds tail + period by less than two blocks.
     When the budget runs out first, tail and period are None.
     """
     gen = BernoulliGenerator(x, mu)
-    marks = {x: 0}  # state -> index, in index order
-    prev, steps = [], 0
+    marks, steps = {x: 0}, 0
     while steps < max_steps:
         base = steps  # chunk holds x_{base+1} .. x_{steps}
         chunk = gen.iterate(min(CYCLE_BLOCK, max_steps - steps))
         steps += len(chunk)
-        if words is not None:
-            words.fromlist(chunk)
+        words.fromlist(chunk)
         if len(seen := set(chunk)) == len(chunk) and marks.keys().isdisjoint(seen):
             marks[chunk[-1]] = steps
-            prev = chunk if words is None else []  # words holds the block already
             del chunk, seen  # a paused search keeps no block
             yield
             continue
@@ -176,20 +170,8 @@ def cycle_blocks(x: int, mu: int, max_steps: int, words: array | None = None):
         if o == 0:
             return 0, period, steps
         s = (o - 1) // CYCLE_BLOCK * CYCLE_BLOCK
-        n = o - s
-        if words is not None:
-            recent, lo = words, 0  # x_1 .. x_{steps}
-        else:
-            recent, lo = prev + chunk, base - len(prev)  # x_{lo+1} .. x_{steps}
-        later = recent[e - n - lo:e - lo]
-        if s >= lo:
-            earlier = recent[s - lo:o - lo]
-        elif steps + n > max_steps:
-            break
-        else:
-            mark = list(marks)[s // CYCLE_BLOCK]
-            earlier = BernoulliGenerator(mark, mu).iterate(n)
-            steps += n
-        i = next(i for i, (a, b) in enumerate(zip(earlier, later)) if a == b)
+        # words[i] is x_{i+1}
+        pairs = zip(words[s:o], words[s + period:e])
+        i = next(i for i, (a, b) in enumerate(pairs) if a == b)
         return s + 1 + i, period, steps
     return None, None, steps

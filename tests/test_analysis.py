@@ -212,6 +212,23 @@ class TestCycleLength:
         with pytest.raises(ValueError):
             cycle_length(1, 170, max_steps=0)
 
+    @pytest.mark.parametrize("seed, mu", [(-1, 170), (2**32, 170), (1, 256)])
+    def test_seed_and_mu_validation(self, seed, mu):
+        with pytest.raises(ValueError):
+            cycle_length(seed, mu)
+
+    def test_memory_is_four_bytes_a_step(self):
+        # the closure keeps each state in an array('I'); a list of ints
+        # would take about ten times this
+        tracemalloc.start()
+        try:
+            result = cycle_length(0x80000000, 170)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.steps_examined == 212_992
+        assert peak < 4 * result.steps_examined + (1 << 20)
+
 
 # Orbits from the visited-set oracle, as (seed, mu, tail, period). Starting
 # `d` steps along an orbit shortens its tail by d, which places the tail
@@ -229,17 +246,11 @@ def with_tail(orbit, tail):
 
 def first_recurrence(tail, period, block):
     """Where the single pass finds the cycle: the first index e whose
-    earlier occurrence e - period is a mark or lies in e's own block, and
-    the replay that placing the tail then costs (0 when the last two
-    blocks hold the words it needs)."""
+    earlier occurrence e - period is a mark or lies in e's own block."""
     e = tail + period
     while (e - period) % block and (e - period - 1) // block != (e - 1) // block:
         e += 1
-    o = e - period
-    s = (o - 1) // block * block
-    base = (e - 1) // block * block
-    kept_from = max(base - block, 0)
-    return e, (o - s if o and s < kept_from else 0)
+    return e
 
 
 CYCLE_CASES = [
@@ -248,7 +259,7 @@ CYCLE_CASES = [
     ("tail in the first block", CYCLE_BLOCK, SHORT_PERIOD, 100),
     ("tail at the second mark", CYCLE_BLOCK, SHORT_PERIOD, 2 * CYCLE_BLOCK),
     ("tail one past a mark", CYCLE_BLOCK, SHORT_PERIOD, CYCLE_BLOCK + 1),
-    ("long period, replayed tail", CYCLE_BLOCK, LONG_PERIOD, 6043),
+    ("long period, replayed tail", CYCLE_BLOCK, LONG_PERIOD, 6043),  # before the last two blocks
     ("long period, tail at a mark", CYCLE_BLOCK, LONG_PERIOD, CYCLE_BLOCK),
     ("period = block", 1184, SMALL, 666),
     ("period = 4 blocks", 296, SMALL, 666),
@@ -268,38 +279,32 @@ def test_single_pass_agrees_with_visited_set(monkeypatch, name, block, orbit, ta
     assert cycle_visited(seed, mu, 40_000) == (tail, period)
     result = cycle_length(seed, mu)
     assert (result.tail, result.period) == (tail, period)
-    e, replay = first_recurrence(tail, period, block)
-    assert e <= result.steps_examined <= e + block + replay
-    assert result.steps_examined < tail + period + 3 * block
+    e = first_recurrence(tail, period, block)
+    assert e <= result.steps_examined < e + block
+    assert result.steps_examined < tail + period + 2 * block
 
 
-@pytest.mark.parametrize("block, orbit, tail, replays", [
-    (CYCLE_BLOCK, LONG_PERIOD, 6043, True),
-    (CYCLE_BLOCK, LONG_PERIOD, CYCLE_BLOCK, True),
-    (CYCLE_BLOCK, SHORT_PERIOD, 2 * CYCLE_BLOCK, False),
-    (CYCLE_BLOCK, SHORT_PERIOD, 0, False),
-    (296, SMALL, 666, True),
+@pytest.mark.parametrize("block, orbit, tail", [
+    (CYCLE_BLOCK, LONG_PERIOD, 6043),
+    (CYCLE_BLOCK, LONG_PERIOD, CYCLE_BLOCK),
+    (CYCLE_BLOCK, SHORT_PERIOD, 2 * CYCLE_BLOCK),
+    (CYCLE_BLOCK, SHORT_PERIOD, 0),
+    (296, SMALL, 666),
 ])
-def test_budget_at_the_recurrence_and_the_replay(monkeypatch, block, orbit, tail,
-                                                 replays):
-    # Blocks are stepped whole unless the budget cuts them, so a result
-    # that needs a replay needs the budget of the block that holds e,
-    # plus the replay; one that needs none is found with a budget of e.
+def test_budget_at_the_recurrence(monkeypatch, block, orbit, tail):
+    # Blocks are stepped whole unless the budget cuts them, and the tail is
+    # placed from the words kept, so a budget of e finds the cycle.
     monkeypatch.setattr(prng, "CYCLE_BLOCK", block)
     seed, mu = with_tail(orbit, tail)
-    e, replay = first_recurrence(tail, orbit[3], block)
+    e = first_recurrence(tail, orbit[3], block)
     end = -(-e // block) * block
-    need = end + replay if replay else e
-    assert (replay > 0) == replays
-    for budget in sorted({e - 1, e, need - 1, need}):
+    for budget in sorted({e - 1, e, end - 1, end, end + 1}):
         result = cycle_length(seed, mu, max_steps=budget)
-        assert result.steps_examined <= budget
-        if budget >= need:
+        if budget >= e:
             assert (result.tail, result.period) == (tail, orbit[3])
-            assert result.steps_examined == min(budget, end) + replay
         else:
             assert not result.found
-            assert result.steps_examined == min(budget, end)
+        assert result.steps_examined == min(budget, end)
 
 
 class TestCoverage:

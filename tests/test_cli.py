@@ -161,7 +161,7 @@ def test_in_place_output_is_refused(tmp_path, capsys, command, link):
     assert src.read_bytes() == msg
 
 
-@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+@pytest.mark.parametrize("command", ["encrypt", "decrypt", "keystream"])
 @pytest.mark.parametrize("link", ["same path", "symlink", "hard link"])
 def test_key_file_as_output_is_refused(tmp_path, capsys, command, link):
     msg = random.Random(0x4BF).randbytes(1000)
@@ -176,7 +176,8 @@ def test_key_file_as_output_is_refused(tmp_path, capsys, command, link):
         out.symlink_to(key)
     else:
         os.link(key, out)
-    rc = main([command, "--key-file", str(key), "--in", str(src), "--out", str(out)])
+    data = ["--bytes", "64"] if command == "keystream" else ["--in", str(src)]
+    rc = main([command, "--key-file", str(key), *data, "--out", str(out)])
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert "--key-file" in err and "--out" in err
