@@ -8,6 +8,7 @@ Bits derive from bytes most-significant-bit first.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from math import erfc, floor, isqrt, log, sqrt
 from typing import NamedTuple
@@ -51,8 +52,19 @@ def _report(test: str, statistic: float, p_value: float, params: dict) -> TestRe
                       passed=p >= ALPHA, params=params)
 
 
+def _refuse_int(data) -> None:
+    """Raise TypeError for an integer, which bytes() and numpy would take
+    as a length or a 0-d array rather than as data."""
+    try:
+        operator.index(data)
+    except TypeError:
+        return
+    raise TypeError(f"expected a sequence, got {type(data).__name__} {data!r}")
+
+
 def as_bits(bits) -> np.ndarray:
     """Coerce a 0/1 sequence (or a '0101...' string) to a uint8 array."""
+    _refuse_int(bits)
     if isinstance(bits, str):
         bits = [int(c) for c in bits]
     arr = np.asarray(bits, dtype=np.uint8)
@@ -65,6 +77,7 @@ def as_bits(bits) -> np.ndarray:
 
 def bits_from_bytes(data) -> np.ndarray:
     """Expand bytes into bits, most significant bit of each byte first."""
+    _refuse_int(data)
     buf = bytes(data)
     if not buf:
         raise ValueError("cannot derive bits from empty input")
@@ -276,8 +289,9 @@ def _twiddle_row(p: int, n1: int, n: int) -> np.ndarray:
     return np.multiply.outer(high, _twiddle(p * np.arange(lo), n)).reshape(-1)[:n1]
 
 
-def _count_below(arr: np.ndarray, n: int, threshold: float) -> int:
-    """Count k < n/2 with |X[k]| < threshold, X the DFT of 2 * arr[:n] - 1.
+def _count_below(data, n: int, threshold: float) -> int:
+    """Count k < n/2 with |X[k]| < threshold, X the DFT of the +-1 sequence
+    of the first n bits of data: packed bytes, or a 0/1 array.
 
     The 0/1 bits are transformed as they are, with no +-1 pass. A four-step
     FFT (Bailey 1990): with n = n1 * n2 and the bits viewed as an (n2, n1)
@@ -287,23 +301,32 @@ def _count_below(arr: np.ndarray, n: int, threshold: float) -> int:
     exactly half of every +-1 column spectrum. Each row is then multiplied
     by W_n ** (j1 * k2) and transformed along its length n1, which gives
     X[k2 + n2 * k1] / 2, counted against threshold / 2; halving both sides
-    is exact. Both stages run in blocks of about _FFT_BLOCK_BYTES: stage 1
-    fills one float block in place, and stage 2 builds each block's
-    twiddle row from two short tables (see _twiddle_row). Only the stage-1
-    half spectrum (8 B per bit) stays resident.
+    is exact. Both stages run in blocks of about _FFT_BLOCK_BYTES. The grid
+    is held packed, n2 rows of ceil(n1 / 8) bytes: a view of packed data
+    when n1 % 8 == 0, else the rows packed afresh. Stage 1 unpacks one
+    block of columns, a multiple of 8 wide, at a time and fills one float
+    block in place; stage 2 builds each block's twiddle row from two short
+    tables (see _twiddle_row). Only the stage-1 half spectrum (8 B per bit)
+    stays resident; the grid, 1/8 B per bit, is dropped after stage 1.
     """
     n1, n2 = _split(n)
+    if isinstance(data, bytes) and n1 % 8 == 0:
+        grid = np.frombuffer(data, dtype=np.uint8).reshape(n2, n1 // 8)
+    else:
+        if isinstance(data, bytes):
+            data = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+        grid = np.packbits(data[:n].reshape(n2, n1), axis=1)
+        del data  # unpacked bits go before the half spectrum is allocated
     rows = n2 // 2 + 1
-    grid = arr[:n].reshape(n2, n1)
     half = np.empty((rows, n1), dtype=np.complex128)
-    width = max(1, min(n1, _FFT_BLOCK_BYTES // (8 * n2)))
-    x = np.empty((width, n2))
+    width = max(8, _FFT_BLOCK_BYTES // (64 * n2) * 8)
+    x = np.empty((min(width, n1), n2))
     for a in range(0, n1, width):
         w = min(width, n1 - a)
-        # copy the columns first so that the transpose reads from cache
-        x[:w] = np.ascontiguousarray(grid[:, a:a + w]).T
+        # unpacked columns are contiguous, so the transpose reads from cache
+        x[:w] = np.unpackbits(grid[:, a // 8:(a + w + 7) // 8], axis=1, count=w).T
         half[:, a:a + w] = np.fft.rfft(x[:w], axis=1).T
-    del x
+    del x, grid
     half[0] -= n2 / 2
     height = max(1, min(rows, _FFT_BLOCK_BYTES // (16 * n1)))
     table = _twiddle(np.arange(height)[:, None] * np.arange(n1), n)
@@ -327,20 +350,26 @@ def fft_test(bits) -> TestReport:
 
     Counts the moduli of the first n/2 Fourier coefficients of the +-1
     sequence that fall below T; an odd trailing bit is truncated and
-    recorded; params["threshold"] is T. The transform is a blocked
-    four-step FFT of the 0/1 bits (see _count_below) that never holds a
-    float copy of the whole sequence: its peak is the half spectrum, 8 B
-    per bit, plus a few blocks of _FFT_BLOCK_BYTES.
+    recorded; params["threshold"] is T. A bytes object is read as its bits,
+    most significant first, as bits_from_bytes gives them, without
+    expanding them to a byte per bit; any other input is a 0/1 sequence.
+    The transform is a blocked four-step FFT of the packed bits (see
+    _count_below) that never holds a float copy of the whole sequence: its
+    peak beside the input is the half spectrum, 8 B per bit, plus a few
+    blocks of _FFT_BLOCK_BYTES and at most one packed copy of the bits.
     """
-    arr = as_bits(bits)
-    truncated = arr.size % 2
-    n = arr.size - truncated
+    if isinstance(bits, bytes):
+        data, truncated, n = bits, 0, 8 * len(bits)
+    else:
+        data = as_bits(bits)
+        truncated = data.size % 2
+        n = data.size - truncated
     if n == 0:
         raise ValueError("need at least 2 bits for the spectral test")
     _warn_short(n, "fft")
     threshold = sqrt(n * log(1.0 / 0.05))
     n_expected = 0.95 * n / 2.0
-    n_below = _count_below(arr, n, threshold)
+    n_below = _count_below(data, n, threshold)
     d = (n_below - n_expected) / sqrt(n * 0.95 * 0.05 / 4.0)
     p = erfc(abs(d) / sqrt(2.0))
     params = {"n": n, "threshold": threshold, "below_threshold": n_below,
@@ -353,16 +382,22 @@ def fft_test(bits) -> TestReport:
 def run_suite(data, block_size: int = DEFAULT_BLOCK_SIZE) -> list[TestReport]:
     """Run all six tests on a byte sequence, in fixed order.
 
-    Requires at least 13 bytes (>= 104 bits). If the requested block size
-    exceeds the bit length it is clamped so short samples stay testable.
-    Peak memory is about 73 B per input byte: one uint8 per bit, and the
-    spectral test's half spectrum of 8 B per bit; every other test works
-    in place, in fixed-size slices or on counts per block of bits.
+    Requires at least 13 bytes (>= 104 bits); an integer is refused with
+    TypeError rather than read as that many zero bytes. If the requested
+    block size exceeds the bit length it is clamped so short samples stay
+    testable. The spectral test runs first, on the packed bytes, and the
+    one uint8 per bit that the other five tests read is built after it,
+    so peak memory is about 65 B per input byte beside the input: the
+    spectral test's half spectrum of 8 B per bit and a few of its blocks.
+    Every other test works in place, in fixed-size slices or on counts
+    per block of bits.
     """
+    _refuse_int(data)
     buf = bytes(data)
     if len(buf) < MIN_SUITE_BYTES:
         raise ValueError(
             f"need at least {MIN_SUITE_BYTES} bytes, got {len(buf)}")
+    spectral = fft_test(buf)
     bits = bits_from_bytes(buf)
     m = min(block_size, bits.size)
     return [
@@ -371,5 +406,5 @@ def run_suite(data, block_size: int = DEFAULT_BLOCK_SIZE) -> list[TestReport]:
         runs_test(bits),
         cusum_test(bits, "forward"),
         cusum_test(bits, "reverse"),
-        fft_test(bits),
+        spectral,
     ]

@@ -35,6 +35,31 @@ def test_bits_from_bytes_rejects_empty():
         bits_from_bytes(b"")
 
 
+@pytest.mark.parametrize("count", [3, np.int64(3), np.array(3), True])
+def test_an_integer_is_not_read_as_that_many_zero_bytes(count):
+    # bytes(3) is three zero bytes; 2,000 of them failed all six tests
+    with pytest.raises(TypeError):
+        bits_from_bytes(count)
+    with pytest.raises(TypeError):
+        run_suite(count * 2000)
+    with pytest.raises(TypeError):
+        fft_test(count)
+
+
+def test_bytes_like_inputs_keep_their_meaning():
+    data = random.Random(0xB7).randbytes(64)
+    bits = bits_from_bytes(data)
+    for same in (bytearray(data), memoryview(data), np.frombuffer(data, dtype=np.uint8),
+                 list(data)):
+        assert bits_from_bytes(same).tolist() == bits.tolist()
+        assert run_suite(same) == run_suite(data)
+    # only bytes are packed bits to the spectral test; a bytearray or a
+    # list is a 0/1 sequence, one bit per item
+    zero_one = bytes(bits)
+    assert fft_test(bytearray(zero_one)) == fft_test(list(zero_one)) == fft_test(bits)
+    assert fft_test(data) == fft_test(bits)
+
+
 def test_as_bits_validation():
     with pytest.raises(ValueError):
         as_bits([0, 1, 2])
@@ -359,6 +384,27 @@ class TestBlockedSpectrum:
         assert sorted(stands_for) == list(range(n // 2))
 
 
+class TestPackedSpectrum:
+
+    @pytest.mark.parametrize("block_bytes", [None, 16, 1000])
+    @pytest.mark.parametrize("size, split", [(4096, (256, 128)), (512 * 1024, (2048, 2048)),
+                                             (13, (13, 8)), (999, (111, 72)),
+                                             (1000, (125, 64))])
+    def test_bytes_count_like_their_bits_and_the_oracle(self, size, split, block_bytes):
+        # rows of n1 bits are whole bytes in the first two splits, so the grid
+        # is a view of the input, and repacked in the rest; at 16 and 1,000
+        # block bytes a stage-1 block is 8 columns, so n1 = 13, 111 and 125
+        # leave a ragged last one
+        assert stats._split(8 * size) == split
+        data = random.Random(size).randbytes(size)
+        bits = bits_from_bytes(data)
+        block = stats._FFT_BLOCK_BYTES if block_bytes is None else block_bytes
+        with mock.patch.object(stats, "_FFT_BLOCK_BYTES", block):
+            report = fft_test(data)
+            assert report == fft_test(bits)
+        assert report == _spectral_oracle(bits)
+
+
 WALKS = {
     "min at S_1": "0" + "1" * 99,
     "max at S_1": "1" + "0" * 99,
@@ -460,6 +506,20 @@ class TestRunSuite:
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
             run_suite(b"\xaa" * 12)
+
+    def test_peak_is_the_half_spectrum_without_a_byte_per_bit(self):
+        # the spectral test reads the packed input and runs before the bits
+        # are expanded, so the one uint8 per bit (1 B per bit) never sits
+        # beside its half spectrum (8 B per bit)
+        data = random.Random(0x512).randbytes(512 * 1024)
+        tracemalloc.start()
+        try:
+            reports = run_suite(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 6
+        assert peak < 8 * 8 * len(data) + 3 * stats._FFT_BLOCK_BYTES
 
     def test_order_and_verdicts_on_alternating_bytes(self):
         reports = _quiet(run_suite, b"\xaa" * 13)
