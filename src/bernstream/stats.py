@@ -67,12 +67,14 @@ def as_bits(bits) -> np.ndarray:
     _refuse_int(bits)
     if isinstance(bits, str):
         bits = [int(c) for c in bits]
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = np.asarray(bits)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("bit sequence must be one-dimensional and non-empty")
-    if arr.max(initial=0) > 1:
+    # checked before the cast, which would wrap 256 to 0 and truncate 0.5 to 0
+    stray = arr.max() > 1 if arr.dtype == np.uint8 else not np.all((arr == 0) | (arr == 1))
+    if stray:
         raise ValueError("bit sequence may contain only 0 and 1")
-    return arr
+    return arr.astype(np.uint8, copy=False)
 
 
 def bits_from_bytes(data) -> np.ndarray:
@@ -172,9 +174,9 @@ def _walk(arr: np.ndarray) -> tuple[int, int, int]:
     S and holds c ones among L bits keeps the walk within
     [S - (L - c), S + c], so only a block whose bound passes the extremes
     of those known values can hold a new extreme. Those candidates alone
-    are walked bit by bit, _WALK_BATCH bits at a time. A batch's walk is
-    int32 and starts at 0, and S is int64, so no sum can overflow however
-    long arr is.
+    are walked bit by bit, _WALK_BATCH bits at a time, each as a row from
+    its own start S: a row's walk is int32 and starts at 0, and S is
+    int64, so no sum can overflow however long arr is.
     """
     size = _WALK_CHUNK
     rows, ones = _block_ones(arr, size)
@@ -192,17 +194,11 @@ def _walk(arr: np.ndarray) -> tuple[int, int, int]:
     for i in range(0, candidates.size, batch):
         blocks = candidates[i:i + batch]
         np.multiply(rows[blocks], 2, out=buf[:blocks.size], dtype=np.int32)
-        walk = buf[:blocks.size].reshape(-1)
+        walk = buf[:blocks.size]
         walk -= 1
-        np.cumsum(walk, out=walk)
-        # a run of adjacent blocks is one stretch of the walk, a fixed offset
-        # from S; the -2 makes the batch's first block start a run
-        first = np.flatnonzero(np.diff(blocks, prepend=-2) != 1)
-        cuts = first * size
-        offset = starts[blocks[first]] - walk[cuts - 1]
-        offset[0] = starts[blocks[0]]  # the batch's walk starts at 0
-        top = max(top, int((np.maximum.reduceat(walk, cuts) + offset).max()))
-        bottom = min(bottom, int((np.minimum.reduceat(walk, cuts) + offset).min()))
+        np.cumsum(walk, axis=1, out=walk)
+        top = max(top, int((walk.max(axis=1) + starts[blocks]).max()))
+        bottom = min(bottom, int((walk.min(axis=1) + starts[blocks]).min()))
     return total, top, bottom
 
 
@@ -243,16 +239,18 @@ def cusum_test(bits, mode: str = "forward") -> TestReport:
 
 
 def _split(n: int) -> tuple[int, int]:
-    """n = n1 * n2 with n1 the largest divisor of n not above sqrt(2n).
+    """n = n1 * n2, n1 the largest divisor of n not above sqrt(2n); if 8
+    divides n, the largest such multiple of 8, or 8, so rows are bytes.
 
     Stage 1 transforms columns of length n2 and stage 2 rows of length
     n1. Columns about half as long as rows fit twice as many into each
     stage-1 block, so its transposed stores write runs twice as long:
     2^25 splits as (8192, 4096), 64 columns and 1 KiB runs per 2 MiB.
     """
-    n1 = isqrt(2 * n)
+    step = 8 if n % 8 == 0 else 1
+    n1 = max(step, isqrt(2 * n) // step * step)
     while n % n1:
-        n1 -= 1
+        n1 -= step
     return n1, n // n1
 
 
@@ -303,20 +301,17 @@ def _count_below(data, n: int, threshold: float) -> int:
     X[k2 + n2 * k1] / 2, counted against threshold / 2; halving both sides
     is exact. Both stages run in blocks of about _FFT_BLOCK_BYTES. The grid
     is held packed, n2 rows of ceil(n1 / 8) bytes: a view of packed data
-    when n1 % 8 == 0, else the rows packed afresh. Stage 1 unpacks one
+    (see _split), or a 0/1 array's rows packed afresh. Stage 1 unpacks one
     block of columns, a multiple of 8 wide, at a time and fills one float
     block in place; stage 2 builds each block's twiddle row from two short
     tables (see _twiddle_row). Only the stage-1 half spectrum (8 B per bit)
     stays resident; the grid, 1/8 B per bit, is dropped after stage 1.
     """
     n1, n2 = _split(n)
-    if isinstance(data, bytes) and n1 % 8 == 0:
+    if isinstance(data, bytes):
         grid = np.frombuffer(data, dtype=np.uint8).reshape(n2, n1 // 8)
     else:
-        if isinstance(data, bytes):
-            data = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
         grid = np.packbits(data[:n].reshape(n2, n1), axis=1)
-        del data  # unpacked bits go before the half spectrum is allocated
     rows = n2 // 2 + 1
     half = np.empty((rows, n1), dtype=np.complex128)
     width = max(8, _FFT_BLOCK_BYTES // (64 * n2) * 8)
@@ -356,7 +351,8 @@ def fft_test(bits) -> TestReport:
     The transform is a blocked four-step FFT of the packed bits (see
     _count_below) that never holds a float copy of the whole sequence: its
     peak beside the input is the half spectrum, 8 B per bit, plus a few
-    blocks of _FFT_BLOCK_BYTES and at most one packed copy of the bits.
+    blocks of _FFT_BLOCK_BYTES and a packed copy of a 0/1 array's bits;
+    where n1 = 8, as for 8 times a prime, stage 1's block is 16 B per bit.
     """
     if isinstance(bits, bytes):
         data, truncated, n = bits, 0, 8 * len(bits)

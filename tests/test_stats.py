@@ -2,11 +2,12 @@ import json
 import random
 import tracemalloc
 import warnings
+from math import isqrt
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bernstream import stats
@@ -65,6 +66,25 @@ def test_as_bits_validation():
         as_bits([0, 1, 2])
     with pytest.raises(ValueError):
         as_bits([])
+
+
+@pytest.mark.parametrize("bits", [np.array([256, 257] * 60), np.array([-255, 1] * 60),
+                                  [0.5] * 120, [0.9] * 200, [0, 1, float("nan")] * 40,
+                                  np.array([0, 1, 2] * 40, dtype=np.uint8)],
+                         ids=["256 and 257", "-255", "0.5", "0.9", "nan", "uint8 2"])
+def test_values_other_than_0_and_1_are_refused(bits):
+    # a cast to uint8 first would read 256 as 0, -255 as 1 and 0.5 or 0.9 as 0
+    for test in (as_bits, frequency_test, fft_test):
+        with pytest.raises(ValueError):
+            test(bits)
+
+
+def test_bool_and_float_bits_read_as_0_and_1():
+    bits = [0, 1, 1, 0] * 30
+    for same in (np.array(bits, dtype=bool), [float(b) for b in bits], np.array(bits)):
+        assert as_bits(same).dtype == np.uint8
+        assert as_bits(same).tolist() == bits
+        assert frequency_test(same) == frequency_test(bits)
 
 
 def test_short_sequences_warn_but_compute():
@@ -360,12 +380,28 @@ class TestBlockedSpectrum:
         assert abs(report.statistic) < 5
         assert peak < 8 * n + 3 * stats._FFT_BLOCK_BYTES
 
-    @pytest.mark.parametrize("n, split", [(2, (2, 1)), (8, (4, 2)), (104, (13, 8)),
-                                          (2 * 10007, (2, 10007)), (10 ** 6, (1250, 800)),
+    @pytest.mark.parametrize("n, split", [(2, (2, 1)), (8, (8, 1)), (104, (8, 13)),
+                                          (2 * 10007, (2, 10007)), (10 ** 6, (1000, 1000)),
                                           (2 ** 25, (8192, 4096))])
     def test_split_takes_the_divisor_nearest_below_the_root(self, n, split):
-        # the root of 2n: the largest divisor of n not above sqrt(2n)
+        # the root of 2n: the largest divisor of n not above sqrt(2n), and a
+        # multiple of 8 when 8 divides n, so 8 bits split as (8, 1)
         assert stats._split(n) == split
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10 ** 6))
+    @example(13)
+    def test_split_of_whole_bytes_has_rows_of_whole_bytes(self, m):
+        n = 8 * m
+        n1, n2 = stats._split(n)
+        assert n1 % 8 == 0 and n1 * n2 == n
+        assert all(n % c for c in range(n1 + 8, isqrt(2 * n) + 1, 8))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8 * 10 ** 6).filter(lambda n: n % 8))
+    def test_split_of_other_lengths_takes_any_divisor(self, n):
+        n1 = max(d for d in range(1, isqrt(2 * n) + 1) if n % d == 0)
+        assert stats._split(n) == (n1, n // n1)
 
     @pytest.mark.parametrize("n1, n2", [(2, 3), (4, 5), (6, 9), (8, 13), (2, 10007),
                                         (1, 2), (3, 4), (5, 6), (4, 8), (7, 10)])
@@ -386,15 +422,14 @@ class TestBlockedSpectrum:
 
 class TestPackedSpectrum:
 
-    @pytest.mark.parametrize("block_bytes", [None, 16, 1000])
+    @pytest.mark.parametrize("block_bytes", [None, 16, 1000, 40000])
     @pytest.mark.parametrize("size, split", [(4096, (256, 128)), (512 * 1024, (2048, 2048)),
-                                             (13, (13, 8)), (999, (111, 72)),
-                                             (1000, (125, 64))])
+                                             (13, (8, 13)), (999, (72, 111)),
+                                             (1000, (80, 100))])
     def test_bytes_count_like_their_bits_and_the_oracle(self, size, split, block_bytes):
-        # rows of n1 bits are whole bytes in the first two splits, so the grid
-        # is a view of the input, and repacked in the rest; at 16 and 1,000
-        # block bytes a stage-1 block is 8 columns, so n1 = 13, 111 and 125
-        # leave a ragged last one
+        # rows of n1 bits are whole bytes, so the grid is a view of the input;
+        # at 40,000 block bytes a stage-1 block of 999 bytes is 40 columns,
+        # so n1 = 72 leaves a ragged last one
         assert stats._split(8 * size) == split
         data = random.Random(size).randbytes(size)
         bits = bits_from_bytes(data)
@@ -403,6 +438,12 @@ class TestPackedSpectrum:
             report = fft_test(data)
             assert report == fft_test(bits)
         assert report == _spectral_oracle(bits)
+
+    @pytest.mark.parametrize("size", [13, 999, 1000, 1048575])
+    def test_bytes_are_read_in_place(self, size):
+        data = random.Random(size).randbytes(size)
+        with mock.patch.object(np, "packbits", side_effect=AssertionError("packbits")):
+            assert fft_test(data).params["n"] == 8 * size
 
 
 WALKS = {
