@@ -10,11 +10,13 @@ tail and period.
 
 from __future__ import annotations
 
+from array import array
 from typing import NamedTuple
 
 # CYCLE_BLOCK is also the block in which coverage() steps its outputs with
 # BernoulliGenerator.iterate, so memory stays flat.
-from .prng import CYCLE_BLOCK, BernoulliGenerator, _check_mu, _check_word, find_cycle
+from .prng import (CYCLE_BLOCK, BernoulliGenerator, _check_mu, _check_word, cycle_blocks,
+                   step_lanes)
 
 DEFAULT_TRANSIENT = 1000
 DEFAULT_SAMPLES = 200
@@ -61,11 +63,10 @@ def bifurcation_scan(mu_min: int, mu_max: int, x0: int,
     + 1, samples): row k is the orbit for mu_min + k, run afresh from x0,
     with `transient` outputs discarded and then byte `section` of the
     next `samples` outputs. Every orbit is stepped at once, as one vector
-    of uint64 lanes, so the scan loads numpy. Identical parameters give
-    identical arrays.
+    of uint64 lanes through prng.step_lanes, so the scan loads numpy.
+    Identical parameters give identical arrays.
     """
-    _check_mu(mu_min)
-    _check_mu(mu_max)
+    mu_min, mu_max = _check_mu(mu_min), _check_mu(mu_max)
     if mu_min > mu_max:
         raise ValueError(f"empty mu range: [{mu_min}, {mu_max}]")
     if transient < 0:
@@ -73,26 +74,16 @@ def bifurcation_scan(mu_min: int, mu_max: int, x0: int,
     if samples < 1:
         raise ValueError(f"samples must be >= 1: {samples!r}")
     shift = _section_shift(section)
-    _check_word(x0)
+    x0 = _check_word(x0)
     import numpy as np  # here, not at module level: `cycle` runs without numpy
 
-    mus = range(mu_min, mu_max + 1)
-    mu = np.array(mus, dtype=np.uint64)
-    gf = (256 - mu) << 23
-    x = np.full_like(mu, x0)
-    # Array operands and a positional `out` cost numpy less per call than
-    # scalars and keywords, and a call costs more here than 256 lanes of
-    # arithmetic. Each sample's byte goes straight into row i of a uint8
-    # array (the unsafe cast keeps the low byte), so only bytes are kept,
-    # and the rows are transposed once at the end.
-    low31, seven, to_byte = (np.full_like(mu, c) for c in (0x7FFFFFFF, 7, shift))
-    rows = np.empty((samples, len(mus)), dtype=np.uint8)
-    for i in range(-transient, samples):
-        # BernoulliGenerator.iterate's step; the product fits in 39 bits
-        np.bitwise_and(x, low31, x)
-        np.multiply(x, mu, x)
-        np.right_shift(x, seven, x)
-        np.add(x, gf, x)
+    mu = np.arange(mu_min, mu_max + 1, dtype=np.uint64)
+    # Each sample's byte goes straight into row i of a uint8 array (the unsafe
+    # cast keeps the low byte) by a call with an array operand and a positional
+    # `out`, the cheapest form; the rows are transposed once at the end.
+    to_byte = np.full_like(mu, shift)
+    rows = np.empty((samples, len(mu)), dtype=np.uint8)
+    for i, x in zip(range(-transient, samples), step_lanes(np.full_like(mu, x0), mu)):
         if i >= 0:
             np.right_shift(x, to_byte, rows[i], casting="unsafe")
     return np.ascontiguousarray(rows.T)
@@ -114,18 +105,20 @@ def cycle_length(seed: int, mu: int,
                  max_steps: int = DEFAULT_MAX_STEPS) -> CycleResult:
     """Tail and minimal period of the orbit from `seed`, in a single pass.
 
-    prng.find_cycle runs prng.cycle_blocks, the closure that the keystream's
-    orbits also run, to the end. It keeps every state it steps, 4 bytes
+    It runs prng.cycle_blocks, the closure that the keystream's orbits
+    also run, to its last item. That keeps every state it steps, 4 bytes
     each in an array('I'), and a mark at each prng.CYCLE_BLOCK-word block
     start, and places the tail from those words. Every map evaluation
     counts against `max_steps`: whole blocks, the last one cut to the
     budget. So steps_examined <= max_steps, and it exceeds tail + period
     by less than two blocks. An out-of-range seed or mu raises
-    ValueError, from the generator's first step.
+    ValueError, and a non-integer one TypeError, from the generator's
+    first step.
     """
     if max_steps < 1:
         raise ValueError(f"step budget must be >= 1: {max_steps!r}")
-    return CycleResult(*find_cycle(seed, mu, max_steps))
+    *_, result = cycle_blocks(seed, mu, max_steps, array("I"))
+    return CycleResult(*result)
 
 
 def write_bifurcation_csv(values, mu_min: int, section: int, stream) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .keystream import KeystreamGenerator
-from .prng import MU_MAX, WORD_MASK, step
+from .prng import _check_mu, _check_word, step
 
 # mu/256 > 1/2 keeps the map expansive; below that orbits contract onto
 # short cycles and the keystream degrades.
@@ -60,13 +60,8 @@ class CipherKey(_KeyFields):
     __slots__ = ()
 
     def __new__(cls, seed1: int, mu1: int, seed2: int, mu2: int):
-        for name, v in (("seed1", seed1), ("seed2", seed2)):
-            if not 0 <= v <= WORD_MASK:
-                raise ValueError(f"{name} out of range [0, 2**32): {v!r}")
-        for name, v in (("mu1", mu1), ("mu2", mu2)):
-            if not 0 <= v <= MU_MAX:
-                raise ValueError(f"{name} out of range [0, 255]: {v!r}")
-        return super().__new__(cls, seed1, mu1, seed2, mu2)
+        return super().__new__(cls, _check_word(seed1, "seed1"), _check_mu(mu1, "mu1"),
+                               _check_word(seed2, "seed2"), _check_mu(mu2, "mu2"))
 
     @classmethod
     def _make(cls, iterable):

@@ -72,18 +72,16 @@ class _Orbit:
         self.tail = self.period = None
         # words[pos] is the next word to serve, and x the state before it
         self.pos, self.x, self.mu = 0, x, mu
-        self._blocks = cycle_blocks(x, mu, TABLE_CAP, self.words)  # None once it returns
+        self._blocks = cycle_blocks(x, mu, TABLE_CAP, self.words)  # None once it ends
 
     def serve(self, n: int) -> bytearray:
         """The folds of the next n <= _BLOCK words."""
         words = self.words
-        try:
-            while self._blocks and len(words) < self.pos + n:
-                next(self._blocks)
-        except StopIteration as done:
-            self._blocks = None
-            if done.value[1]:  # a word repeated, rather than TABLE_CAP ran out
-                self._close(*done.value[:2])
+        while self._blocks and len(words) < self.pos + n:
+            if done := next(self._blocks):  # (tail, period, steps)
+                self._blocks = None
+                if done[1]:  # a word repeated, rather than TABLE_CAP ran out
+                    self._close(*done[:2])
         pos, end = self.pos, self.pos + n
         if self.period is None:
             if len(words) < end:  # past TABLE_CAP: step on from the last word

@@ -14,20 +14,26 @@ from __future__ import annotations
 
 from array import array
 from itertools import repeat
+from operator import index
 
 WORD_BITS = 32
 WORD_MASK = (1 << WORD_BITS) - 1
 MU_MAX = 255
 
 
-def _check_word(x: int) -> None:
+# The checks return Python ints, so a numpy integer cannot overflow in a step.
+def _check_word(x: int, name: str = "state word") -> int:
+    x = index(x)
     if not 0 <= x <= WORD_MASK:
-        raise ValueError(f"state word out of range [0, 2**32): {x!r}")
+        raise ValueError(f"{name} out of range [0, 2**32): {x!r}")
+    return x
 
 
-def _check_mu(mu: int) -> None:
+def _check_mu(mu: int, name: str = "feedback factor") -> int:
+    mu = index(mu)
     if not 0 <= mu <= MU_MAX:
-        raise ValueError(f"feedback factor out of range [0, 255]: {mu!r}")
+        raise ValueError(f"{name} out of range [0, 255]: {mu!r}")
+    return mu
 
 
 def generalization_factor(mu: int) -> int:
@@ -36,21 +42,18 @@ def generalization_factor(mu: int) -> int:
     This is the fixed-point form of 2**32 * (1 - mu/256) / 2, which pins
     the bottom of the reachable band; the orbit can never fall below it.
     """
-    _check_mu(mu)
-    return (256 - mu) << 23
+    return (256 - _check_mu(mu)) << 23
 
 
 def step(x: int, mu: int) -> int:
     """Advance one map step, bit-exact to the 32-bit datapath.
 
-    t = (2*x) mod 2**32, p = t * mu (exact 40-bit product),
-    result = floor(p / 256) + generalization_factor(mu).
-    Total on its domain; the result always fits in 32 bits.
+    t = (2*x) mod 2**32, p = t * mu (exact 40-bit product), result =
+    floor(p / 256) + generalization_factor(mu), computed as iterate does,
+    with (x mod 2**31) * mu >> 7 for p >> 8. Always fits in 32 bits.
     """
-    _check_word(x)
-    _check_mu(mu)
-    t = (x << 1) & WORD_MASK
-    return ((t * mu) >> 8) + ((256 - mu) << 23)
+    x, mu = _check_word(x), _check_mu(mu)
+    return ((x & 0x7FFFFFFF) * mu >> 7) + ((256 - mu) << 23)
 
 
 def max_step_value(mu: int) -> int:
@@ -59,8 +62,7 @@ def max_step_value(mu: int) -> int:
     The doubler output is even and at most 2**32 - 2, so the band is
     [generalization_factor(mu), generalization_factor(mu) + (2**32-2)*mu//256].
     """
-    _check_mu(mu)
-    return generalization_factor(mu) + ((1 << WORD_BITS) - 2) * mu // 256
+    return generalization_factor(mu) + ((1 << WORD_BITS) - 2) * _check_mu(mu) // 256
 
 
 class BernoulliGenerator:
@@ -76,10 +78,8 @@ class BernoulliGenerator:
     __slots__ = ("x", "mu")
 
     def __init__(self, seed: int, mu: int):
-        _check_word(seed)
-        _check_mu(mu)
-        self.x = seed
-        self.mu = mu
+        self.x = _check_word(seed)
+        self.mu = _check_mu(mu)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(x={self.x:#010x}, mu={self.mu})"
@@ -109,6 +109,25 @@ class BernoulliGenerator:
         return out
 
 
+def step_lanes(x, mu):
+    """Step x, a numpy uint64 array of state words, in place, one orbit
+    per lane, and yield x after each step; mu is a uint64 array of x's
+    shape. Inputs are not checked.
+
+    The step is iterate's; its product fits in 39 bits. In-place
+    operators keep numpy out of prng's imports, and their operands are
+    arrays built from x, which cost numpy less per call than scalars.
+    """
+    low31, seven = x & 0 | 0x7FFFFFFF, x & 0 | 7
+    gf = (256 - mu) << 23
+    while True:
+        x &= low31
+        x *= mu
+        x >>= seven
+        x += gf
+        yield x
+
+
 # Words per block of cycle_blocks, for analysis.cycle_length and the
 # keystream's recorded orbits, which take it from here alone. A closure
 # steps less than two blocks past tail + period, so a smaller block
@@ -116,20 +135,11 @@ class BernoulliGenerator:
 CYCLE_BLOCK = 4096
 
 
-def find_cycle(x: int, mu: int, max_steps: int) -> tuple[int | None, int | None, int]:
-    """cycle_blocks run to the end: (tail, period, steps) of the orbit from x."""
-    blocks = cycle_blocks(x, mu, max_steps, array("I"))
-    while True:
-        try:
-            next(blocks)
-        except StopIteration as done:
-            return done.value
-
-
 def cycle_blocks(x: int, mu: int, max_steps: int, words: array):
     """Tail and minimal period of the orbit from x, in a single pass, and
-    the number of steps taken: (tail, period, steps), returned by a
-    generator that yields after every block that does not close the orbit.
+    the number of steps taken, block by block: a generator that yields
+    None after every block that does not close the orbit and then, as its
+    last item, (tail, period, steps).
 
     Let x_0 = x and x_i be the state i steps on. The orbit is stepped
     with BernoulliGenerator.iterate in blocks of CYCLE_BLOCK words, and the
@@ -149,7 +159,7 @@ def cycle_blocks(x: int, mu: int, max_steps: int, words: array):
     When the budget runs out first, tail and period are None.
     """
     gen = BernoulliGenerator(x, mu)
-    marks, steps = {x: 0}, 0
+    marks, steps = {gen.x: 0}, 0
     while steps < max_steps:
         base = steps  # chunk holds x_{base+1} .. x_{steps}
         chunk = gen.iterate(min(CYCLE_BLOCK, max_steps - steps))
@@ -158,7 +168,7 @@ def cycle_blocks(x: int, mu: int, max_steps: int, words: array):
         if len(seen := set(chunk)) == len(chunk) and marks.keys().isdisjoint(seen):
             marks[chunk[-1]] = steps
             del chunk, seen  # a paused search keeps no block
-            yield
+            yield None
             continue
         first = {}
         for e, w in enumerate(chunk, base + 1):
@@ -166,12 +176,12 @@ def cycle_blocks(x: int, mu: int, max_steps: int, words: array):
             if o is not None:
                 break
             first[w] = e
-        period = e - o
-        if o == 0:
-            return 0, period, steps
-        s = (o - 1) // CYCLE_BLOCK * CYCLE_BLOCK
-        # words[i] is x_{i+1}
-        pairs = zip(words[s:o], words[s + period:e])
-        i = next(i for i, (a, b) in enumerate(pairs) if a == b)
-        return s + 1 + i, period, steps
-    return None, None, steps
+        period, tail = e - o, 0
+        if o:
+            s = (o - 1) // CYCLE_BLOCK * CYCLE_BLOCK
+            # words[i] is x_{i+1}
+            pairs = zip(words[s:o], words[s + period:e])
+            tail = s + 1 + next(i for i, (a, b) in enumerate(pairs) if a == b)
+        yield tail, period, steps
+        return
+    yield None, None, steps

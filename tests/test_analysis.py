@@ -1,6 +1,7 @@
 import io
 import random
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -217,6 +218,12 @@ class TestCycleLength:
         with pytest.raises(ValueError):
             cycle_length(seed, mu)
 
+    def test_numpy_integer_seed_is_stepped_as_a_python_int(self):
+        want = (39396, 168564, 212_992)
+        assert cycle_length(0x80000000, 170) == want
+        assert cycle_length(np.uint32(0x80000000), 170) == want
+        assert cycle_length(np.uint32(0x80000000), np.uint8(170)) == want
+
     def test_memory_is_four_bytes_a_step(self):
         # the closure keeps each state in an array('I'); a list of ints
         # would take about ten times this
@@ -305,6 +312,20 @@ def test_budget_at_the_recurrence(monkeypatch, block, orbit, tail):
         else:
             assert not result.found
         assert result.steps_examined == min(budget, end)
+
+
+# (seed, mu, budget, open blocks, last item): every block that does not
+# close the orbit yields None, the last one cut to the budget
+@pytest.mark.parametrize("seed, mu, budget, k, last", [
+    (*SHORT_PERIOD[:2], 10**6, 3, (12886, 1488, 4 * CYCLE_BLOCK)),
+    (*LONG_PERIOD[:2], 10**6, 4, (6043, 9932, 5 * CYCLE_BLOCK)),
+    (*SHORT_PERIOD[:2], 10_000, 3, (None, None, 10_000)),
+    (2**31, 0, 10**6, 0, (0, 1, CYCLE_BLOCK)),  # the seed is its own cycle
+], ids=["short period", "long period", "budget runs out", "seed on its cycle"])
+def test_cycle_blocks_yields_none_per_open_block_then_the_result(seed, mu, budget, k, last):
+    words = array("I")
+    assert list(prng.cycle_blocks(seed, mu, budget, words)) == [None] * k + [last]
+    assert words.tolist() == orbit_reference(seed, mu, last[2])
 
 
 class TestCoverage:

@@ -4,6 +4,7 @@ import secrets
 import tracemalloc
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -163,6 +164,19 @@ def test_cipher_key_field_ranges():
         CipherKey(seed1=2**32, mu1=170, seed2=0, mu2=170)
     with pytest.raises(ValueError):
         CipherKey(seed1=0, mu1=256, seed2=1, mu2=170)
+    with pytest.raises(TypeError):
+        CipherKey(seed1=1.0, mu1=170, seed2=0, mu2=171)
+
+
+def test_numpy_integer_fields_are_read_as_python_ints():
+    key = parse_key("F4271242D67D883F82A5")
+    typed = CipherKey(np.uint32(0xF4271242), np.uint8(0xD6),
+                      np.uint32(0x7D883F82), np.uint8(0xA5))
+    assert typed == key and [type(f) for f in typed] == [int] * 4
+    assert typed.to_hex() == key.to_hex()
+    # past TABLE_THRESHOLD, so both the stepped and the recorded reads run
+    n = TABLE_THRESHOLD + 4096
+    assert keystream_bytes(typed, n) == keystream_bytes(key, n)
 
 
 # Two 64 KiB chunks and a short one, so encrypt_stream runs the fused read

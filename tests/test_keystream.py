@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bernstream import analysis, keystream, prng
 from bernstream.cipher import CipherKey, DegenerateKeyError, parse_key
 from bernstream.keystream import TABLE_THRESHOLD, KeystreamGenerator, keystream_bytes
-from bernstream.prng import BernoulliGenerator, find_cycle
+from bernstream.prng import BernoulliGenerator
 
 from oracles import (advance, cycle_visited, keystream_reference, orbit_reference,
                      prime_factors, split_word_arith, verify_cycle, xor_parity_byte,
@@ -403,12 +403,12 @@ BULK_KEYS = ("F4271242D67D883F82A5", "C13EE345BB155AB65983",
 
 def test_bulk_encrypt_orbits_close_within_two_closure_blocks():
     # encrypt's reads step each of these eight orbits from its seed, through
-    # prng.cycle_blocks with this budget, until it closes; find_cycle runs
-    # the same closure
+    # prng.cycle_blocks with this budget, until it closes; cycle_length runs
+    # the same closure to its end
     steps = visited = 0
     for key in map(parse_key, BULK_KEYS):
         for seed, mu in ((key.seed1, key.mu1), (key.seed2, key.mu2)):
-            tail, period, n = find_cycle(seed, mu, keystream.TABLE_CAP)
+            tail, period, n = analysis.cycle_length(seed, mu, keystream.TABLE_CAP)
             assert tail + period <= n < tail + period + 2 * prng.CYCLE_BLOCK
             steps, visited = steps + n, visited + tail + period
     assert visited == 535_094

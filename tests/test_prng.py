@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from bernstream.prng import (CYCLE_BLOCK, MU_MAX, WORD_MASK, BernoulliGenerator,
-                             generalization_factor, max_step_value, step)
+                             generalization_factor, max_step_value, step, step_lanes)
 
 from oracles import advance, orbit_reference, step_reference
 
@@ -172,3 +173,44 @@ def test_iterate_equals_the_oracle_at_the_edges(seed, mu):
         assert type(words) is list
         assert words == orbit[:n]
         assert gen.x == orbit[n - 1]
+
+
+def test_numpy_integers_step_as_python_ints():
+    # a fixed-width uint32 would overflow in the product, with only a
+    # RuntimeWarning, so the checks hand the arithmetic Python ints
+    assert step(np.uint32(0xFFFFFFFF), np.uint8(255)) == 4_286_578_686
+    assert step(np.uint32(0xFFFFFFFF), 255) == step_reference(0xFFFFFFFF, 255)
+    for seed, mu in ((0xFFFFFFFF, 255), (DEMO_SEED, DEMO_MU), (2**31 - 1, 129)):
+        gen = BernoulliGenerator(np.uint32(seed), np.uint8(mu))
+        assert type(gen.x) is int and type(gen.mu) is int
+        assert gen.iterate(100) == orbit_reference(seed, mu, 100)
+    assert generalization_factor(np.uint8(255)) == generalization_factor(255)
+    assert max_step_value(np.uint8(255)) == max_step_value(255)
+
+
+@pytest.mark.parametrize("seed, mu", [(1.0, 170), (1, 170.0), ("1", 170)])
+def test_non_integers_are_refused_when_the_generator_is_built(seed, mu):
+    with pytest.raises(TypeError):
+        BernoulliGenerator(seed, mu)
+    with pytest.raises(TypeError):
+        step(seed, mu)
+
+
+LANE_MUS = (0, 1, 127, 128, 129, 255)
+LANE_SEEDS = (0, 2**31 - 1, 2**31, 2**32 - 1)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5000])
+def test_step_lanes_equals_iterate_and_the_oracle_lane_by_lane(k):
+    lanes = [(s, m) for m in LANE_MUS for s in LANE_SEEDS]
+    x = np.array([s for s, _ in lanes], dtype=np.uint64)
+    mu = np.array([m for _, m in lanes], dtype=np.uint64)
+    steps = []
+    for _, y in zip(range(k), step_lanes(x, mu)):
+        assert y is x and y.dtype == np.uint64
+        steps.append(y.copy())
+    by_lane = np.array(steps).T.tolist()
+    for (seed, m), words in zip(lanes, by_lane):
+        assert words == BernoulliGenerator(seed, m).iterate(k)
+        assert words == orbit_reference(seed, m, k)
+    assert x.tolist() == [w[-1] for w in by_lane]
