@@ -75,11 +75,30 @@ class BernoulliGenerator:
     from two threads. Distinct instances are fully independent.
     """
 
-    __slots__ = ("x", "mu")
+    __slots__ = ("_x", "_mu")
 
     def __init__(self, seed: int, mu: int):
-        self.x = _check_word(seed)
-        self.mu = _check_mu(mu)
+        self.x, self.mu = seed, mu
+
+    # Assignments are checked as the constructor's arguments are, so the
+    # slots hold Python ints in range and iterate reads them unchecked.
+    @property
+    def x(self) -> int:
+        """The state register: the seed, then the last word output."""
+        return self._x
+
+    @x.setter
+    def x(self, seed: int) -> None:
+        self._x = _check_word(seed)
+
+    @property
+    def mu(self) -> int:
+        """The feedback factor."""
+        return self._mu
+
+    @mu.setter
+    def mu(self, mu: int) -> None:
+        self._mu = _check_mu(mu)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(x={self.x:#010x}, mu={self.mu})"
@@ -102,10 +121,10 @@ class BernoulliGenerator:
         # the x the step before stored. Against an indexed for-loop, a
         # 4096-word call took 0.83-0.90x the time on CPython 3.10-3.13; calls
         # of 64 words or fewer took 0.95-1.14x.
-        out = [x for x in (self.x,) for mu in (self.mu,) for gf in ((256 - mu) << 23,)
+        out = [x for x in (self._x,) for mu in (self._mu,) for gf in ((256 - mu) << 23,)
                for _ in repeat(None, n) for x in [((x & 0x7FFFFFFF) * mu >> 7) + gf]]
         if out:
-            self.x = out[-1]
+            self._x = out[-1]
         return out
 
 

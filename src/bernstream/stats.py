@@ -287,56 +287,145 @@ def _twiddle_row(p: int, n1: int, n: int) -> np.ndarray:
     return np.multiply.outer(high, _twiddle(p * np.arange(lo), n)).reshape(-1)[:n1]
 
 
+def _column_blocks(grid: np.ndarray, n1: int, width: int):
+    """Yield (a, cols) for a = 0, width, 2 * width, ...: cols is the
+    (n2, w) 0/1 block of the packed grid's columns a..a+w-1, unpacked."""
+    for a in range(0, n1, width):
+        w = min(width, n1 - a)
+        yield a, np.unpackbits(grid[:, a // 8:(a + w + 7) // 8], axis=1, count=w)
+
+
+def _even_rows(grid: np.ndarray, rows: np.ndarray, n2: int, width: int) -> None:
+    """Fill rows with the column spectra's rows k2 = 2k, Y[2k] = rfft_L(u
+    + v)[k] for u and v a column's halves, when n2 = 2L is even; with
+    every row, from real FFTs of length n2, when n2 is odd."""
+    n1 = rows.shape[1]
+    size = n2 // (2 - n2 % 2)
+    x = np.empty((min(width, n1), size))
+    for a, cols in _column_blocks(grid, n1, width):
+        w = cols.shape[1]
+        # unpacked rows are contiguous, so the transpose reads from cache
+        x[:w] = (cols[:size] + cols[size:] if size < n2 else cols).T
+        rows[:, a:a + w] = np.fft.rfft(x[:w], axis=1).T
+
+
+def _odd_rows(grid: np.ndarray, rows: np.ndarray, n2: int, width: int) -> None:
+    """Fill rows with the column spectra's rows k2 = 2k + 1, n2 = 2L even:
+    2 Y for the first ceil(w/2) columns of each block of w, and 2i Y for
+    the rest.
+
+    With d = u - v, u and v a column's halves, Y[2k + 1] =
+    FFT_L(d * W_n2 ** j2)[k] = O[k], and d being real gives
+    O[L - 1 - k] = conj(O[k]). So one complex FFT serves two columns c and
+    c': with Z = FFT_L((d_c + i d_c') * W_n2 ** j2) and
+    Z~[k] = conj(Z[L - 1 - k]), Z + Z~ = 2 O_c and Z - Z~ = 2i O_c'. A
+    block's first ceil(w/2) columns pair with its last w//2, and an odd
+    last one with zero.
+    """
+    (count, n1), size = rows.shape, n2 // 2
+    shift = _twiddle(np.arange(size), n2)
+    pairs = (min(width, n1) + 1) // 2
+    # reused by every block: fresh temporaries of these sizes made the heap
+    # shrink and grow back each block, faulting its pages in again
+    z = np.empty((pairs, size), dtype=np.complex128)
+    total, mirror = np.empty((2, pairs, count), dtype=np.complex128)
+    for a, cols in _column_blocks(grid, n1, width):
+        w = cols.shape[1]
+        h = (w + 1) // 2
+        # int8 differences of contiguous unpacked rows, read transposed
+        d = (cols[:size].view(np.int8) - cols[size:].view(np.int8)).T
+        z[:h].real = d[:h]
+        z[:w - h].imag = d[h:]
+        z[w - h:h].imag = 0
+        z[:h] *= shift
+        big = np.fft.fft(z[:h], axis=1)
+        top = big[:, :count]
+        np.conjugate(big[:, ::-1][:, :count], out=mirror[:h])
+        np.add(top, mirror[:h], out=total[:h])
+        np.subtract(top, mirror[:h], out=mirror[:h])
+        rows[:, a:a + h] = total[:h].T
+        rows[:, a + h:a + w] = mirror[:w - h].T
+
+
+def _count_rows(rows: np.ndarray, n: int, n2: int, parity: int, limit: float,
+                width: int) -> int:
+    """Stage 2 of one pass: multiply row q, spectrum row k2 = step * q +
+    parity, by W_n ** (j1 * k2), transform it along its length n1, and
+    count the entries below limit that _row_span keeps.
+
+    Rows run in blocks of about _FFT_BLOCK_BYTES, each twiddled by one
+    table of W_n ** (step * r * j1) and one row from _twiddle_row. The odd
+    pass's table also takes back the factor i of the last w//2 columns of
+    each stage-1 block of w (see _odd_rows).
+    """
+    count, n1 = rows.shape
+    step = 2 - n2 % 2
+    height = max(1, min(count, _FFT_BLOCK_BYTES // (16 * n1)))
+    table = _twiddle(step * np.arange(height)[:, None] * np.arange(n1), n)
+    if parity:
+        for a in range(0, n1, width):
+            table[:, a + (min(width, n1 - a) + 1) // 2:a + width] *= -1j
+    below = 0
+    for p in range(0, count, height):
+        block = rows[p:p + height]
+        block *= table[:len(block)]
+        if k2 := step * p + parity:
+            block *= _twiddle_row(k2, n1, n)
+        small = np.abs(np.fft.fft(block, axis=1)) < limit
+        below += int(np.count_nonzero(small))
+        for k2 in {0, n2 // 2}:
+            q, off = divmod(k2 - parity, step)
+            if not off and p <= q < p + len(block):
+                below -= int(np.count_nonzero(small[q - p, _row_span(k2, n1, n2):]))
+    return below
+
+
 def _count_below(data, n: int, threshold: float) -> int:
     """Count k < n/2 with |X[k]| < threshold, X the DFT of the +-1 sequence
     of the first n bits of data: packed bytes, or a 0/1 array.
 
     The 0/1 bits are transformed as they are, with no +-1 pass. A four-step
     FFT (Bailey 1990): with n = n1 * n2 and the bits viewed as an (n2, n1)
-    grid, real FFTs of length n2 down the columns give the half spectrum
-    rows k2 = 0..n2//2. Only row k2 = 0, each column's sum, differs for the
-    +-1 sequence other than by a factor 2: subtracting n2/2 from it leaves
-    exactly half of every +-1 column spectrum. Each row is then multiplied
-    by W_n ** (j1 * k2) and transformed along its length n1, which gives
-    X[k2 + n2 * k1] / 2, counted against threshold / 2; halving both sides
-    is exact. Both stages run in blocks of about _FFT_BLOCK_BYTES. The grid
-    is held packed, n2 rows of ceil(n1 / 8) bytes: a view of packed data
-    (see _split), or a 0/1 array's rows packed afresh. Stage 1 unpacks one
-    block of columns, a multiple of 8 wide, at a time and fills one float
-    block in place; stage 2 builds each block's twiddle row from two short
-    tables (see _twiddle_row). Only the stage-1 half spectrum (8 B per bit)
-    stays resident; the grid, 1/8 B per bit, is dropped after stage 1.
+    grid, FFTs of length n2 down the columns give the half spectrum rows
+    Y[k2], k2 = 0..n2//2. Only row k2 = 0, each column's sum, differs for
+    the +-1 sequence other than by a factor 2: subtracting n2/2 from it
+    leaves exactly half of every +-1 column spectrum. Each row is then
+    multiplied by W_n ** (j1 * k2) and transformed along its length n1,
+    which gives X[k2 + n2 * k1] / 2, counted against threshold / 2; halving
+    both sides is exact.
+
+    The rows are made and counted in passes through one buffer. When n2 is
+    odd, one pass takes every row from real FFTs of the columns, 8 B per
+    bit. When n2 = 2L is even, two passes of n2//4 + 1 rows, 4 B per bit,
+    take the even rows, Y[2k] = rfft_L(u + v)[k] with u and v a column's
+    first and second halves, and then the odd rows (see _odd_rows). The
+    odd pass holds 2 Y, and 2i Y for the second half of each stage-1
+    block's columns: its threshold takes the factor 2 and its twiddle
+    table the factor -i.
+
+    Both stages run in blocks of about _FFT_BLOCK_BYTES. The grid is held
+    packed, n2 rows of ceil(n1 / 8) bytes: a view of packed data (see
+    _split), or a 0/1 array's rows packed afresh, 1/8 B per bit. Each pass
+    unpacks each stage-1 block of columns, a multiple of 8 wide, once.
     """
     n1, n2 = _split(n)
     if isinstance(data, bytes):
         grid = np.frombuffer(data, dtype=np.uint8).reshape(n2, n1 // 8)
     else:
         grid = np.packbits(data[:n].reshape(n2, n1), axis=1)
-    rows = n2 // 2 + 1
-    half = np.empty((rows, n1), dtype=np.complex128)
+    # pass `parity` holds the rows k2 = step * q + parity, q = 0, 1, ...
+    step = 2 - n2 % 2
+    buf = np.empty((n2 // 2 // step + 1, n1), dtype=np.complex128)
     width = max(8, _FFT_BLOCK_BYTES // (64 * n2) * 8)
-    x = np.empty((min(width, n1), n2))
-    for a in range(0, n1, width):
-        w = min(width, n1 - a)
-        # unpacked columns are contiguous, so the transpose reads from cache
-        x[:w] = np.unpackbits(grid[:, a // 8:(a + w + 7) // 8], axis=1, count=w).T
-        half[:, a:a + w] = np.fft.rfft(x[:w], axis=1).T
-    del x, grid
-    half[0] -= n2 / 2
-    height = max(1, min(rows, _FFT_BLOCK_BYTES // (16 * n1)))
-    table = _twiddle(np.arange(height)[:, None] * np.arange(n1), n)
-    limit = threshold / 2
     below = 0
-    for p in range(0, rows, height):
-        block = half[p:p + height]
-        block *= table[:len(block)]
-        if p:
-            block *= _twiddle_row(p, n1, n)
-        small = np.abs(np.fft.fft(block, axis=1)) < limit
-        below += int(np.count_nonzero(small))
-        for k2 in {0, n2 // 2}:
-            if p <= k2 < p + len(block):
-                below -= int(np.count_nonzero(small[k2 - p, _row_span(k2, n1, n2):]))
+    for parity in range(step):
+        rows = buf[:(n2 // 2 - parity) // step + 1]
+        if parity:
+            _odd_rows(grid, rows, n2, width)
+        else:
+            _even_rows(grid, rows, n2, width)
+            rows[0] -= n2 / 2
+        below += _count_rows(rows, n, n2, parity, threshold / 2 * (1 + parity), width)
     return below
 
 
@@ -350,9 +439,10 @@ def fft_test(bits) -> TestReport:
     expanding them to a byte per bit; any other input is a 0/1 sequence.
     The transform is a blocked four-step FFT of the packed bits (see
     _count_below) that never holds a float copy of the whole sequence: its
-    peak beside the input is the half spectrum, 8 B per bit, plus a few
-    blocks of _FFT_BLOCK_BYTES and a packed copy of a 0/1 array's bits;
-    where n1 = 8, as for 8 times a prime, stage 1's block is 16 B per bit.
+    peak beside the input is one pass's spectrum rows, 4 B per bit when
+    the column length n2 is even and 8 B when it is odd, plus a few blocks
+    of _FFT_BLOCK_BYTES and a packed copy of a 0/1 array's bits; where
+    n1 = 8, as for 8 times a prime, stage 1's block is 16 B per bit.
     """
     if isinstance(bits, bytes):
         data, truncated, n = bits, 0, 8 * len(bits)
@@ -383,8 +473,9 @@ def run_suite(data, block_size: int = DEFAULT_BLOCK_SIZE) -> list[TestReport]:
     block size exceeds the bit length it is clamped so short samples stay
     testable. The spectral test runs first, on the packed bytes, and the
     one uint8 per bit that the other five tests read is built after it,
-    so peak memory is about 65 B per input byte beside the input: the
-    spectral test's half spectrum of 8 B per bit and a few of its blocks.
+    so peak memory beside the input is the spectral test's rows and a few
+    of its blocks: about 33 B per input byte (4 B per bit) when its column
+    length n2 is even, as for 4 MiB, and 65 B (8 B per bit) when it is odd.
     Every other test works in place, in fixed-size slices or on counts
     per block of bits.
     """

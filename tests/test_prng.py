@@ -188,6 +188,27 @@ def test_numpy_integers_step_as_python_ints():
     assert max_step_value(np.uint8(255)) == max_step_value(255)
 
 
+def test_assigned_state_and_mu_are_checked_like_the_constructors():
+    # numpy integers are stored as Python ints, so the step cannot overflow
+    gen = BernoulliGenerator(0, 255)
+    gen.x = np.uint32(0xFFFFFFFF)
+    assert type(gen.x) is int
+    assert gen.iterate(1) == [4_286_578_686]
+    gen.mu = np.uint8(DEMO_MU)
+    gen.x = np.int64(DEMO_SEED)
+    assert type(gen.mu) is int
+    assert gen.iterate(100) == orbit_reference(DEMO_SEED, DEMO_MU, 100)
+    # a refused value raises as the constructor does and leaves the state
+    for field, value, error in (("x", 2**40, ValueError), ("x", -1, ValueError),
+                                ("x", 1.0, TypeError), ("mu", 300, ValueError),
+                                ("mu", -1, ValueError), ("mu", 170.0, TypeError)):
+        before = gen.x, gen.mu
+        with pytest.raises(error):
+            setattr(gen, field, value)
+        assert (gen.x, gen.mu) == before, field
+    assert all(0 <= w <= WORD_MASK for w in gen.iterate(100))
+
+
 @pytest.mark.parametrize("seed, mu", [(1.0, 170), (1, 170.0), ("1", 170)])
 def test_non_integers_are_refused_when_the_generator_is_built(seed, mu):
     with pytest.raises(TypeError):

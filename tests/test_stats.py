@@ -269,6 +269,15 @@ def _bits(n, p=0.5, seed=0):
     return (rng.random(n) < p).astype(np.uint8)
 
 
+def _traced_peak(func, *args):
+    """func(*args) and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return func(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _walk_reference(bits):
     walk = np.cumsum(bits.astype(np.int64) * 2 - 1)
     return int(walk[-1]), max(0, int(walk.max())), min(0, int(walk.min()))
@@ -366,19 +375,41 @@ class TestBlockedSpectrum:
                     assert report.params["below_threshold"] == _direct_count(bits), p
 
     def test_scratch_is_a_few_blocks_beside_the_half_spectrum(self):
-        # the half spectrum is 8 B per bit, and the peak beside it about 2.5
-        # blocks; a block held into the next one, the stage-1 buffer kept
-        # into stage 2, or a float copy of the sequence would exceed the bound
+        # an even n2 takes the half spectrum in two passes of a quarter of
+        # it, 4 B per bit. Beside that, the peak is about 2.5 blocks and the
+        # packed grid; a block held into the next one, a stage-1 buffer kept
+        # into stage 2, both passes' rows at once, or a float copy of the
+        # sequence would exceed the bound
         n = 1 << 22
-        bits = _bits(n)
-        tracemalloc.start()
-        try:
-            report = fft_test(bits)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        assert stats._split(n) == (2048, 2048)
+        report, peak = _traced_peak(fft_test, _bits(n))
         assert abs(report.statistic) < 5
+        assert peak < 4 * n + 3 * stats._FFT_BLOCK_BYTES
+
+    def test_an_odd_column_length_keeps_one_pass_of_the_half_spectrum(self):
+        # an odd n2 has no halves to fold: one pass holds all n2//2 + 1
+        # rows, 8 B per bit
+        n = 4194096
+        assert stats._split(n) == (2096, 2001)
+        report, peak = _traced_peak(fft_test, _bits(n))
+        assert report == _spectral_oracle(_bits(n))
         assert peak < 8 * n + 3 * stats._FFT_BLOCK_BYTES
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 2000), st.floats(0, 1), st.sampled_from([16, 1000, None]),
+           st.integers(0, 2 ** 32 - 1))
+    @example(65, 0.5, 16, 0)      # split (13, 10): L = 5, last stage-1 block 5 wide
+    @example(78, 0.5, None, 1)    # split (13, 12): L = 6, one block 13 wide
+    @example(24, 0.1, 16, 2)      # split (8, 6): L = 3
+    @example(32, 0.9, 1000, 3)    # split (8, 8): L = 4
+    @example(3, 1.0, 16, 4)       # split (3, 2): L = 1, one block 3 wide
+    def test_random_even_lengths_count_like_the_oracle(self, half_n, p, block_bytes, seed):
+        # even n2 runs both passes; n1 odd leaves a stage-1 block of odd
+        # width, whose last column pairs with zero in the odd pass
+        bits = (np.random.default_rng(seed).random(2 * half_n) < p).astype(np.uint8)
+        size = stats._FFT_BLOCK_BYTES if block_bytes is None else block_bytes
+        with mock.patch.object(stats, "_FFT_BLOCK_BYTES", size):
+            assert _quiet(fft_test, bits) == _spectral_oracle(bits)
 
     @pytest.mark.parametrize("n, split", [(2, (2, 1)), (8, (8, 1)), (104, (8, 13)),
                                           (2 * 10007, (2, 10007)), (10 ** 6, (1000, 1000)),
@@ -561,6 +592,15 @@ class TestRunSuite:
             tracemalloc.stop()
         assert len(reports) == 6
         assert peak < 8 * 8 * len(data) + 3 * stats._FFT_BLOCK_BYTES
+
+    def test_peak_is_a_quarter_spectrum_when_the_column_length_is_even(self):
+        # 512 KiB split as (2048, 2048): the spectral test holds one pass's
+        # rows, 4 B per bit, and the battery's byte per bit comes after it
+        data = random.Random(0x513).randbytes(512 * 1024)
+        assert stats._split(8 * len(data)) == (2048, 2048)
+        reports, peak = _traced_peak(run_suite, data)
+        assert reports[-1] == _spectral_oracle(bits_from_bytes(data))
+        assert peak < 4 * 8 * len(data) + 3 * stats._FFT_BLOCK_BYTES
 
     def test_order_and_verdicts_on_alternating_bytes(self):
         reports = _quiet(run_suite, b"\xaa" * 13)
