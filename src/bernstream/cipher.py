@@ -5,8 +5,15 @@ same operation. A key is 80 bits: two 32-bit seeds and two 8-bit
 feedback factors, written as 20 hex characters
 seed1(8) || mu1(2) || seed2(8) || mu2(2), big-endian fields.
 
+Fewer bits reach the keystream. A step discards each seed's top bit,
+and swapping the two generators leaves their XOR as it is, so about
+2^77.97 accepted keys give at most 2^74.97 distinct keystreams (see
+README "Key format").
+
 There is no nonce, authentication, or key schedule: reusing a key across
-messages leaks the XOR of the plaintexts. Treat every key as single-use.
+messages leaks the XOR of the plaintexts. The slid key (step(seed1),
+mu1, step(seed2), mu2) gives the same keystream one byte later, so a
+key and its slid key leak it too. Treat every key as single-use.
 """
 
 from __future__ import annotations
@@ -80,6 +87,11 @@ class CipherKey(_KeyFields):
         conservative strength floor, and mu1 != mu2, because two orbits of
         one map tend to fall onto the same few cycles, which gives a
         keystream of short period.
+
+        No check looks at the period itself, so keys of different mu that
+        pass by default may still repeat early: 7311D8A385A6CECC1B8F
+        repeats every 10,416 bytes from byte 73,272 (see README "Key
+        format" and ROADMAP item 1).
         """
         if self.mu1 == self.mu2 and (self.mu1 < MU_MIN_STRONG or
                                      step(self.seed1, self.mu1) == step(self.seed2, self.mu2)):

@@ -310,20 +310,18 @@ def _even_rows(grid: np.ndarray, rows: np.ndarray, n2: int, width: int) -> None:
 
 
 def _odd_rows(grid: np.ndarray, rows: np.ndarray, n2: int, width: int) -> None:
-    """Fill rows with the column spectra's rows k2 = 2k + 1, n2 = 2L even:
-    2 Y for the first ceil(w/2) columns of each block of w, and 2i Y for
-    the rest.
+    """Fill rows with the column spectra's rows k2 = 2k + 1, n2 = 2L even.
 
     With d = u - v, u and v a column's halves, Y[2k + 1] =
     FFT_L(d * W_n2 ** j2)[k] = O[k], and d being real gives
     O[L - 1 - k] = conj(O[k]). So one complex FFT serves two columns c and
-    c': with Z = FFT_L((d_c + i d_c') * W_n2 ** j2) and
-    Z~[k] = conj(Z[L - 1 - k]), Z + Z~ = 2 O_c and Z - Z~ = 2i O_c'. A
-    block's first ceil(w/2) columns pair with its last w//2, and an odd
-    last one with zero.
+    c': with Z = FFT_L((d_c + i d_c') * W_n2 ** j2 / 2) and
+    Z~[k] = conj(Z[L - 1 - k]), Z + Z~ = O_c and i (Z~ - Z) = O_c'; the
+    halving and the factor i are exact. A block's first ceil(w/2) columns
+    pair with its last w//2, and an odd last one with zero.
     """
     (count, n1), size = rows.shape, n2 // 2
-    shift = _twiddle(np.arange(size), n2)
+    shift = _twiddle(np.arange(size), n2) / 2
     pairs = (min(width, n1) + 1) // 2
     # reused by every block: fresh temporaries of these sizes made the heap
     # shrink and grow back each block, faulting its pages in again
@@ -342,29 +340,24 @@ def _odd_rows(grid: np.ndarray, rows: np.ndarray, n2: int, width: int) -> None:
         top = big[:, :count]
         np.conjugate(big[:, ::-1][:, :count], out=mirror[:h])
         np.add(top, mirror[:h], out=total[:h])
-        np.subtract(top, mirror[:h], out=mirror[:h])
+        np.subtract(mirror[:h], top, out=mirror[:h])
+        mirror[:w - h] *= 1j
         rows[:, a:a + h] = total[:h].T
         rows[:, a + h:a + w] = mirror[:w - h].T
 
 
-def _count_rows(rows: np.ndarray, n: int, n2: int, parity: int, limit: float,
-                width: int) -> int:
+def _count_rows(rows: np.ndarray, n: int, n2: int, parity: int, limit: float) -> int:
     """Stage 2 of one pass: multiply row q, spectrum row k2 = step * q +
     parity, by W_n ** (j1 * k2), transform it along its length n1, and
     count the entries below limit that _row_span keeps.
 
     Rows run in blocks of about _FFT_BLOCK_BYTES, each twiddled by one
-    table of W_n ** (step * r * j1) and one row from _twiddle_row. The odd
-    pass's table also takes back the factor i of the last w//2 columns of
-    each stage-1 block of w (see _odd_rows).
+    table of W_n ** (step * r * j1) and one row from _twiddle_row.
     """
     count, n1 = rows.shape
     step = 2 - n2 % 2
     height = max(1, min(count, _FFT_BLOCK_BYTES // (16 * n1)))
     table = _twiddle(step * np.arange(height)[:, None] * np.arange(n1), n)
-    if parity:
-        for a in range(0, n1, width):
-            table[:, a + (min(width, n1 - a) + 1) // 2:a + width] *= -1j
     below = 0
     for p in range(0, count, height):
         block = rows[p:p + height]
@@ -398,10 +391,7 @@ def _count_below(data, n: int, threshold: float) -> int:
     odd, one pass takes every row from real FFTs of the columns, 8 B per
     bit. When n2 = 2L is even, two passes of n2//4 + 1 rows, 4 B per bit,
     take the even rows, Y[2k] = rfft_L(u + v)[k] with u and v a column's
-    first and second halves, and then the odd rows (see _odd_rows). The
-    odd pass holds 2 Y, and 2i Y for the second half of each stage-1
-    block's columns: its threshold takes the factor 2 and its twiddle
-    table the factor -i.
+    first and second halves, and then the odd rows (see _odd_rows).
 
     Both stages run in blocks of about _FFT_BLOCK_BYTES. The grid is held
     packed, n2 rows of ceil(n1 / 8) bytes: a view of packed data (see
@@ -425,7 +415,7 @@ def _count_below(data, n: int, threshold: float) -> int:
         else:
             _even_rows(grid, rows, n2, width)
             rows[0] -= n2 / 2
-        below += _count_rows(rows, n, n2, parity, threshold / 2 * (1 + parity), width)
+        below += _count_rows(rows, n, n2, parity, threshold / 2)
     return below
 
 

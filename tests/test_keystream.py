@@ -638,3 +638,19 @@ def test_short_period_keys_repeat_with_the_orbits_lcm(hex_key, orbit_a, orbit_b,
     for p in prime_factors(lcm):
         d = lcm // p
         assert ks[start:-d] != ks[start + d:]
+
+
+def test_equivalent_and_slid_keys_give_one_keystream():
+    # A step discards each seed's top bit, and XOR does not order the two
+    # generators, so flipping both top bits or swapping the generators gives
+    # the same keystream. Stepping both seeds once slides it by one byte.
+    n = 70_001
+    assert n > TABLE_THRESHOLD
+    key = parse_key("F4271242D67D883F82A5")
+    ks = keystream_bytes(key, n)
+    assert keystream_bytes(parse_key("74271242D6FD883F82A5"), n) == ks
+    assert keystream_bytes(parse_key("7D883F82A5F4271242D6"), n) == ks
+    slid = parse_key("D7315286D6CF51A1DDA5")
+    assert slid == (prng.step(key.seed1, key.mu1), key.mu1,
+                    prng.step(key.seed2, key.mu2), key.mu2)
+    assert keystream_bytes(slid, n - 1) == ks[1:]

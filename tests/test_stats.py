@@ -411,6 +411,26 @@ class TestBlockedSpectrum:
         with mock.patch.object(stats, "_FFT_BLOCK_BYTES", size):
             assert _quiet(fft_test, bits) == _spectral_oracle(bits)
 
+    @pytest.mark.parametrize("n1, n2", [(13, 10), (13, 12), (8, 6), (21, 8), (16, 14),
+                                        (20, 4), (9, 4), (3, 2)])
+    def test_both_passes_hand_stage_2_the_column_spectra(self, n1, n2):
+        # _even_rows and _odd_rows fill the rows k2 = 2q and 2q + 1 of the
+        # columns' own FFTs, with no factor left for stage 2 to take back.
+        # At 16 bytes stage-1 blocks are 8 columns wide, so n1 = 13, 20 and
+        # 21 end in a ragged block, of odd width at 13 and 21
+        bits = _bits(n1 * n2, seed=n1)
+        spectra = np.fft.fft(bits.reshape(n2, n1), axis=0)
+        spectra[0] -= n2 / 2  # _count_below's correction to the +-1 sequence
+        passes = []
+        with mock.patch.object(stats, "_FFT_BLOCK_BYTES", 16), \
+                mock.patch.object(stats, "_split", lambda m: (n1, n2)), \
+                mock.patch.object(stats, "_count_rows",
+                                  lambda rows, *args: passes.append(rows.copy()) or 0):
+            stats._count_below(bits, n1 * n2, 1.0)
+        assert len(passes) == 2
+        for parity, rows in enumerate(passes):
+            np.testing.assert_allclose(rows, spectra[parity:n2 // 2 + 1:2], rtol=0, atol=1e-9)
+
     @pytest.mark.parametrize("n, split", [(2, (2, 1)), (8, (8, 1)), (104, (8, 13)),
                                           (2 * 10007, (2, 10007)), (10 ** 6, (1000, 1000)),
                                           (2 ** 25, (8192, 4096))])
