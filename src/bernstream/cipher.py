@@ -31,6 +31,8 @@ KEY_HEX_LEN = 20
 # int(s, 16) alone would also take "_", "+", "-", whitespace and non-ASCII digits.
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 DEFAULT_CHUNK_SIZE = 64 * 1024
+# generate_key redraws a key whose keystream repeats within this many bytes
+PERIOD_FLOOR = 1 << 24
 
 
 class KeyFormatError(ValueError):
@@ -91,7 +93,7 @@ class CipherKey(_KeyFields):
         No check looks at the period itself, so keys of different mu that
         pass by default may still repeat early: 7311D8A385A6CECC1B8F
         repeats every 10,416 bytes from byte 73,272 (see README "Key
-        format" and ROADMAP item 1).
+        format" and ROADMAP item 1). generate_key draws such keys again.
         """
         if self.mu1 == self.mu2 and (self.mu1 < MU_MIN_STRONG or
                                      step(self.seed1, self.mu1) == step(self.seed2, self.mu2)):
@@ -133,14 +135,28 @@ def parse_key(text: str, allow_weak_mu: bool = False) -> CipherKey:
 
 
 def generate_key() -> CipherKey:
-    """Draw a key from OS randomness, re-drawing until validation passes."""
-    import secrets  # here, not at module level: only keygen needs it
+    """Draw a key from OS randomness, re-drawing until validation passes
+    and the keystream's period is at least PERIOD_FLOOR (2^24) bytes.
+
+    Both generators' orbits are closed exactly with analysis.cycle_length,
+    tens of milliseconds a key; past the longer tail, the keystream repeats
+    every lcm(period1, period2) bytes. A key whose orbits do not both close
+    within cycle_length's default step budget is drawn again too.
+    """
+    # here, not at module level: only keygen needs them
+    import secrets
+    from math import lcm
+
+    from .analysis import cycle_length
 
     while True:
         try:
-            return parse_key(secrets.token_hex(KEY_HEX_LEN // 2))
+            key = parse_key(secrets.token_hex(KEY_HEX_LEN // 2))
         except DegenerateKeyError:
             continue
+        a, b = cycle_length(key.seed1, key.mu1), cycle_length(key.seed2, key.mu2)
+        if a.found and b.found and lcm(a.period, b.period) >= PERIOD_FLOOR:
+            return key
 
 
 def _write_all(dst, data: bytes, offset: int) -> None:

@@ -4,13 +4,17 @@ Each 32-bit generator word is split into four byte sections (section 1
 is the most significant). The keystream byte is the bitwise XOR of all
 eight sections coming from two generators advanced in lockstep -- the
 software equivalent of a 56-gate XOR array, 7 gates per output bit.
+
+As in that datapath, nothing grows with the message: words are stepped
+and folded at most prng.CYCLE_BLOCK (4,096) at a time, and a read's
+output is built in windows of 64 KiB.
 """
 
 from __future__ import annotations
 
 from array import array
 
-from .prng import BernoulliGenerator, cycle_blocks
+from .prng import CYCLE_BLOCK, BernoulliGenerator, cycle_blocks
 
 
 # read() steps both generators with iterate() until a read reaches
@@ -21,9 +25,9 @@ TABLE_THRESHOLD = 64 * 1024
 # close within about 3e5 words; weak-mu orbits are not bounded in principle,
 # so once one has not closed by the cap, its generator steps on alone.
 TABLE_CAP = 1 << 20
-# Bytes per window of read(), and words per piece in which an orbit is
-# folded. It keeps each big int small enough to stay in cache: 2^16 words
-# fold at 11-18 ns a word, like 2^14, and 2^20 words at 19-21 ns.
+# Bytes per window of read(). Each window's keystream is one int; the words
+# behind it are stepped and folded CYCLE_BLOCK words at a time, so no other
+# scratch grows with the window.
 _BLOCK = 1 << 16
 
 
@@ -56,13 +60,14 @@ class _Orbit:
     """A generator's orbit from state x, stepped only as far as reads need.
 
     words[i] is the state i + 1 steps after x: prng.cycle_blocks appends
-    them in CYCLE_BLOCK-word blocks, and seq holds the folds of those
-    served. Once a word repeats, words is cut to the orbit's tail + period
-    distinct words, and seq to their folds, the tail's, then the cycle's,
-    repeated over period + _BLOCK bytes: every window of read(), at most
-    _BLOCK bytes, that starts at or before tail + period is one slice of
-    seq, even for periods shorter than a window. An orbit that overruns
-    TABLE_CAP keeps no record and steps on alone.
+    them in CYCLE_BLOCK-word blocks, and each block is folded into seq as
+    soon as it is appended, so len(seq) == len(words) until the orbit
+    closes. Once a word repeats, both are cut to the orbit's tail + period
+    distinct words, and seq gains the cycle's folds again over _BLOCK
+    bytes: every window of read(), at most _BLOCK bytes, that starts at or
+    before tail + period is one slice of seq, even for periods shorter
+    than a window. An orbit that overruns TABLE_CAP keeps no record: it
+    steps on alone, a CYCLE_BLOCK at a time, and drops the words it serves.
     """
 
     __slots__ = ("words", "seq", "tail", "period", "pos", "x", "mu", "_blocks")
@@ -74,29 +79,32 @@ class _Orbit:
         self.pos, self.x, self.mu = 0, x, mu
         self._blocks = cycle_blocks(x, mu, TABLE_CAP, self.words)  # None once it ends
 
-    def serve(self, n: int) -> bytearray:
-        """The folds of the next n <= _BLOCK words."""
-        words = self.words
-        while self._blocks and len(words) < self.pos + n:
-            if done := next(self._blocks):  # (tail, period, steps)
+    def serve(self, n: int) -> int:
+        """The folds of the next n <= _BLOCK words, as one little-endian int."""
+        words, seq = self.words, self.seq
+        while self.period is None and len(words) < self.pos + n:
+            done = None
+            if self._blocks:
+                done = next(self._blocks)  # (tail, period, steps) once it ends
+            else:  # past TABLE_CAP: step on from the last word
+                stepper = BernoulliGenerator(words[-1] if words else self.x, self.mu)
+                words.fromlist(stepper.iterate(CYCLE_BLOCK))
+            with memoryview(words) as view:
+                seq += _fold(view[len(seq):])
+            if done:
                 self._blocks = None
                 if done[1]:  # a word repeated, rather than TABLE_CAP ran out
                     self._close(*done[:2])
-        pos, end = self.pos, self.pos + n
-        if self.period is None:
-            if len(words) < end:  # past TABLE_CAP: step on from the last word
-                stepper = BernoulliGenerator(words[-1] if words else self.x, self.mu)
-                words.fromlist(stepper.iterate(end - len(words)))
-            with memoryview(words) as view:
-                self.seq += _fold(view[pos:end])
-        out = self.seq[pos:end]
+        pos, end = self.pos, self.pos + n  # _close may have wrapped pos
+        with memoryview(seq) as view:
+            out = int.from_bytes(view[pos:end], "little")
         last = end - 1
         if self.period and last >= self.tail:
             last = self.tail + (last - self.tail) % self.period
         # pos may reach tail + period, where seq still holds a whole block.
         self.pos, self.x = last + 1, words[last]
         if not (self._blocks or self.period):  # past TABLE_CAP: keep no record
-            del words[:end], self.seq[:end]
+            del words[:end], seq[:end]
             self.pos = 0
         return out
 
@@ -106,11 +114,8 @@ class _Orbit:
         # shorter than the orbit's, unless x lies on the cycle.
         tail = max(tail - 1, 0)
         size = tail + period
-        del self.words[size:]
-        with memoryview(self.words) as view:
-            self.seq += _fold(view[len(self.seq):size])
-        del self.seq[size:]
-        self.seq += (self.seq[tail:] * -(-_BLOCK // period))[:_BLOCK]
+        del self.words[size:], self.seq[size:]
+        self.seq += (self.seq[tail:tail + _BLOCK] * -(-_BLOCK // period))[:_BLOCK]
         self.tail, self.period = tail, period
         if self.pos > tail:  # words served past the first wrap before it was found
             self.pos = tail + (self.pos - tail) % period
@@ -147,8 +152,9 @@ class KeystreamGenerator:
         does not grow with n beyond the output. Each window's keystream is
         one int, XORed with data's bytes in the window and written out by
         one to_bytes. While the bytes read() has served stay below
-        TABLE_THRESHOLD, it is one fold of both generators' words, from one
-        iterate() call each; otherwise the XOR of both orbits' serve(), each
+        TABLE_THRESHOLD, it is one fold of both generators' words, stepped
+        into an array('I') each by iterate() calls of at most CYCLE_BLOCK
+        words; otherwise the XOR of both orbits' serve() ints, each
         recorded from the first word of the read that reaches the threshold,
         or afresh from its generator's state if that moved (by iterate()).
         Of k words served, an orbit steps at most min(k, tail + period +
@@ -169,11 +175,14 @@ class KeystreamGenerator:
         for start in range(0, n, _BLOCK):
             size = min(_BLOCK, n - start)
             if orbits[0]:
-                m = (int.from_bytes(orbits[0].serve(size), "little")
-                     ^ int.from_bytes(orbits[1].serve(size), "little"))
+                m = orbits[0].serve(size) ^ orbits[1].serve(size)
             else:
-                m = int.from_bytes(_fold(array("I", self.gen_a.iterate(size)),
-                                         array("I", self.gen_b.iterate(size))), "little")
+                wa, wb = array("I"), array("I")
+                for done in range(0, size, CYCLE_BLOCK):
+                    k = min(CYCLE_BLOCK, size - done)
+                    wa.fromlist(self.gen_a.iterate(k))
+                    wb.fromlist(self.gen_b.iterate(k))
+                m = int.from_bytes(_fold(wa, wb), "little")
             if view is not None:
                 m ^= int.from_bytes(view[start:start + size], "little")
             out.append(m.to_bytes(size, "little"))

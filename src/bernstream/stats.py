@@ -202,6 +202,15 @@ def _walk(arr: np.ndarray) -> tuple[int, int, int]:
     return total, top, bottom
 
 
+class _Walk(NamedTuple):
+    """The cumulative-sums walk of n bits: S_n, max S_k and min S_k."""
+
+    n: int
+    total: int
+    top: int
+    bottom: int
+
+
 def cusum_test(bits, mode: str = "forward") -> TestReport:
     """Maximal excursion of the +-1 partial-sum walk.
 
@@ -211,20 +220,32 @@ def cusum_test(bits, mode: str = "forward") -> TestReport:
     largest and smallest S_k, S_0 included: forward z = max(max S,
     -min S), reverse z = max(S_n - min S, max S - S_n). Its scratch is a
     few numbers per block of _WALK_CHUNK bits and one batch of blocks
-    walked bit by bit. The P-value is the two standard-normal-CDF sums over
-    k in [floor((-n/z+1)/4), floor((n/z-1)/4)] and
-    k in [floor((-n/z-3)/4), floor((n/z-1)/4)].
+    walked bit by bit. run_suite walks its bits once and passes the _Walk
+    as `bits` for both modes.
     """
     if mode not in ("forward", "reverse"):
         raise ValueError(f"mode must be 'forward' or 'reverse': {mode!r}")
-    arr = as_bits(bits)
-    n = arr.size
-    _warn_short(n, "cumulative sums")
-    total, top, bottom = _walk(arr)
+    if isinstance(bits, _Walk):
+        walk = bits
+    else:
+        arr = as_bits(bits)
+        _warn_short(arr.size, "cumulative sums")
+        walk = _Walk(arr.size, *_walk(arr))
+    n, total, top, bottom = walk
     if mode == "forward":
         z = max(top, -bottom)
     else:
         z = max(total - bottom, top - total)
+    return _cusum_report(n, z, mode)
+
+
+def _cusum_report(n: int, z: int, mode: str) -> TestReport:
+    """The cumulative-sums report for maximal excursion z over n bits.
+
+    The P-value is the two standard-normal-CDF sums over
+    k in [floor((-n/z+1)/4), floor((n/z-1)/4)] and
+    k in [floor((-n/z-3)/4), floor((n/z-1)/4)].
+    """
     sqrt_n = sqrt(n)
     hi = floor((n / z - 1) / 4)
     total1 = sum(normal_cdf((4 * k + 1) * z / sqrt_n)
@@ -467,7 +488,7 @@ def run_suite(data, block_size: int = DEFAULT_BLOCK_SIZE) -> list[TestReport]:
     of its blocks: about 33 B per input byte (4 B per bit) when its column
     length n2 is even, as for 4 MiB, and 65 B (8 B per bit) when it is odd.
     Every other test works in place, in fixed-size slices or on counts
-    per block of bits.
+    per block of bits, and both cumulative-sums reports share one walk.
     """
     _refuse_int(data)
     buf = bytes(data)
@@ -477,11 +498,14 @@ def run_suite(data, block_size: int = DEFAULT_BLOCK_SIZE) -> list[TestReport]:
     spectral = fft_test(buf)
     bits = bits_from_bytes(buf)
     m = min(block_size, bits.size)
+    # both modes read one walk; each report still comes from its own
+    # cusum_test call, which benchmarks/tracing.py times by mode
+    walk = _Walk(bits.size, *_walk(bits))
     return [
         frequency_test(bits),
         block_frequency_test(bits, m),
         runs_test(bits),
-        cusum_test(bits, "forward"),
-        cusum_test(bits, "reverse"),
+        cusum_test(walk, "forward"),
+        cusum_test(walk, "reverse"),
         spectral,
     ]

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 import secrets
 import tracemalloc
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bernstream.cipher import (CipherIOError, CipherKey, DegenerateKeyError,
+from bernstream.analysis import cycle_length
+from bernstream.cipher import (PERIOD_FLOOR, CipherIOError, CipherKey, DegenerateKeyError,
                                KeyFormatError, WeakMuError, decrypt_bytes,
                                decrypt_stream, encrypt_bytes, encrypt_stream,
                                generate_key, parse_key)
@@ -291,6 +293,21 @@ class TestEncrypt:
         encrypt_stream(key, io.BytesIO(plain), dst)
         assert out == dst.getvalue()
 
+    @pytest.mark.parametrize("n, bound", [(16_384, 500_000), (65_535, 2_000_000)])
+    def test_short_reads_step_one_block_at_a_time(self, n, bound):
+        # below the table threshold each generator is stepped in
+        # CYCLE_BLOCK-word lists, not one list of n words
+        key = parse_key("0123456789ABCDEF12C3")
+        plain = random.Random(n).randbytes(n)
+        tracemalloc.start()
+        try:
+            out = encrypt_bytes(key, plain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+        assert out == xor_reference(plain, keystream_bytes(key, n))
+
     def test_degenerate_key_rejected_before_any_output(self):
         bad = CipherKey(seed1=1, mu1=170, seed2=1, mu2=170)
         writes = []
@@ -445,6 +462,43 @@ def test_generate_key_draws_again_after_a_weak_key(monkeypatch):
         return next(draws)
     monkeypatch.setattr(secrets, "token_hex", token_hex)
     assert generate_key() == GOOD_KEY
+
+
+def keystream_period(key):
+    """lcm of the key's two orbit periods, or None if either does not close."""
+    a, b = (cycle_length(seed, mu) for seed, mu in ((key.seed1, key.mu1), (key.seed2, key.mu2)))
+    return math.lcm(a.period, b.period) if a.found and b.found else None
+
+
+def test_generate_key_draws_again_after_a_short_period_key(monkeypatch):
+    # both keys pass validation, but their keystreams repeat every 10,416
+    # and 9,120 bytes
+    draws = iter(["7311D8A385A6CECC1B8F", "D7185DDA8165BD9ACBC8", "AAAAAAAAAABBBBBBBBBB"])
+    monkeypatch.setattr(secrets, "token_hex", lambda nbytes: next(draws))
+    assert generate_key() == GOOD_KEY
+    assert next(draws, None) is None
+
+
+def test_generate_key_never_returns_a_key_below_the_period_floor(monkeypatch):
+    rng, draws = random.Random(23), []
+
+    def token_hex(nbytes):
+        draws.append(rng.randbytes(nbytes).hex().upper())
+        return draws[-1]
+    monkeypatch.setattr(secrets, "token_hex", token_hex)
+    keys = [generate_key() for _ in range(20)]
+    assert all(keystream_period(key) >= PERIOD_FLOOR for key in keys)
+    # the seeded draws hold valid keys below the floor, and those were drawn again
+    returned = {key.to_hex() for key in keys}
+    skipped = []
+    for text in draws:
+        try:
+            key = parse_key(text)
+        except DegenerateKeyError:
+            continue
+        if text not in returned:
+            skipped.append(keystream_period(key))
+    assert skipped and all(p is None or p < PERIOD_FLOOR for p in skipped)
 
 
 def test_generate_key_never_emits_invalid_keys():

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 from array import array
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernstream import analysis, keystream, prng
-from bernstream.cipher import CipherKey, DegenerateKeyError, parse_key
+from bernstream.cipher import (CipherKey, DegenerateKeyError, encrypt_bytes, encrypt_stream,
+                               parse_key)
 from bernstream.keystream import TABLE_THRESHOLD, KeystreamGenerator, keystream_bytes
 from bernstream.prng import BernoulliGenerator
 
@@ -413,6 +415,35 @@ def test_bulk_encrypt_orbits_close_within_two_closure_blocks():
             steps, visited = steps + n, visited + tail + period
     assert visited == 535_094
     assert steps == 565_248
+
+
+def test_orbits_fold_one_closure_block_at_a_time(monkeypatch):
+    # A 1 MiB encrypt_stream under a bulk-encrypt key: every fold of one
+    # orbit's words covers at most one CYCLE_BLOCK, and each block is folded
+    # as it is stepped, so seq keeps pace with words until the orbit closes.
+    folded, fold, serve = [], keystream._fold, keystream._Orbit.serve
+
+    def recorded(*arrays):
+        if len(arrays) == 1:
+            folded.append(len(arrays[0]))
+        return fold(*arrays)
+
+    orbits = set()
+
+    def checked(orbit, n):
+        out = serve(orbit, n)
+        orbits.add(orbit)
+        assert orbit.period is not None or len(orbit.seq) == len(orbit.words)
+        return out
+    monkeypatch.setattr(keystream, "_fold", recorded)
+    monkeypatch.setattr(keystream._Orbit, "serve", checked)
+    plain = random.Random(1).randbytes(1 << 20)
+    dst = io.BytesIO()
+    assert encrypt_stream(parse_key(BULK_KEYS[0]), io.BytesIO(plain), dst) == len(plain)
+    assert len(orbits) == 2 and all(o.period for o in orbits)
+    assert folded and max(folded) <= prng.CYCLE_BLOCK
+    monkeypatch.undo()
+    assert dst.getvalue() == encrypt_bytes(parse_key(BULK_KEYS[0]), plain)
 
 
 def assert_capped_a_closed_b(orbits):

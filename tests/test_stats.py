@@ -599,6 +599,14 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite(b"\xaa" * 12)
 
+    def test_both_cumulative_sums_reports_come_from_one_walk(self):
+        data = random.Random(0x3A1).randbytes(20000)
+        bits = bits_from_bytes(data)
+        with mock.patch.object(stats, "_walk", wraps=stats._walk) as walk:
+            reports = run_suite(data)
+        assert walk.call_count == 1
+        assert reports[3:5] == [cusum_test(bits, "forward"), cusum_test(bits, "reverse")]
+
     def test_peak_is_the_half_spectrum_without_a_byte_per_bit(self):
         # the spectral test reads the packed input and runs before the bits
         # are expanded, so the one uint8 per bit (1 B per bit) never sits
