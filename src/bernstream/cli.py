@@ -45,32 +45,18 @@ def _int_arg(text: str) -> int:
 
 
 @contextmanager
-def _binary_in(path: str):
-    if path == "-":
-        yield sys.stdin.buffer
-    else:
-        with open(path, "rb") as f:
+def _open(path: str, mode: str):
+    """open(path, mode), where `-` is stdin for reading and stdout for
+    writing, binary when mode has "b"; stdout is flushed, not closed."""
+    if path != "-":
+        with open(path, mode) as f:
             yield f
-
-
-@contextmanager
-def _binary_out(path: str):
-    if path == "-":
-        yield sys.stdout.buffer
-        sys.stdout.buffer.flush()
+    elif "r" in mode:
+        yield sys.stdin.buffer if "b" in mode else sys.stdin
     else:
-        with open(path, "wb") as f:
-            yield f
-
-
-@contextmanager
-def _text_out(path: str):
-    if path == "-":
-        yield sys.stdout
-        sys.stdout.flush()
-    else:
-        with open(path, "w") as f:
-            yield f
+        out = sys.stdout.buffer if "b" in mode else sys.stdout
+        yield out
+        out.flush()
 
 
 def _add_key_args(sub):
@@ -178,7 +164,7 @@ def cmd_keystream(args) -> int:
     _refuse_as_out(args.out, ("--key-file", args.key_file))
     key = _load_key(args)
     gen = KeystreamGenerator.from_key(key, allow_weak_mu=args.allow_weak_mu)
-    with _binary_out(args.out) as dst:
+    with _open(args.out, "wb") as dst:
         for start in range(0, args.bytes, DEFAULT_CHUNK_SIZE):
             dst.write(gen.read(min(DEFAULT_CHUNK_SIZE, args.bytes - start)))
     return EXIT_OK
@@ -187,7 +173,7 @@ def cmd_keystream(args) -> int:
 def cmd_encrypt(args) -> int:
     _refuse_as_out(args.out, ("--in", args.infile), ("--key-file", args.key_file))
     key = _load_key(args)
-    with _binary_in(args.infile) as src, _binary_out(args.out) as dst:
+    with _open(args.infile, "rb") as src, _open(args.out, "wb") as dst:
         encrypt_stream(key, src, dst, allow_weak_mu=args.allow_weak_mu)
     return EXIT_OK
 
@@ -195,7 +181,7 @@ def cmd_encrypt(args) -> int:
 def cmd_test(args) -> int:
     from .stats import DEFAULT_BLOCK_SIZE, run_suite
 
-    with _binary_in(args.infile) as src:
+    with _open(args.infile, "rb") as src:
         data = src.read()
     block_size = DEFAULT_BLOCK_SIZE if args.block_size is None else args.block_size
     reports = run_suite(data, block_size=block_size)
@@ -216,7 +202,7 @@ def cmd_bifurcate(args) -> int:
     values = bifurcation_scan(args.mu_min, args.mu_max, args.seed,
                               transient=args.transient, samples=args.samples,
                               section=args.section)
-    with _text_out(args.out) as dst:
+    with _open(args.out, "w") as dst:
         write_bifurcation_csv(values, args.mu_min, args.section, dst)
     return EXIT_OK
 

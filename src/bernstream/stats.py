@@ -260,17 +260,19 @@ def _cusum_report(n: int, z: int, mode: str) -> TestReport:
 
 
 def _split(n: int) -> tuple[int, int]:
-    """n = n1 * n2, n1 the largest divisor of n not above sqrt(2n); if 8
-    divides n, the largest such multiple of 8, or 8, so rows are bytes.
+    """n = n1 * n2 for an even n, with n2 even: n1 is the largest divisor
+    of n/2 not above sqrt(2n); if 16 divides n, the largest such multiple
+    of 8, or 8, so rows are whole bytes.
 
     Stage 1 transforms columns of length n2 and stage 2 rows of length
     n1. Columns about half as long as rows fit twice as many into each
     stage-1 block, so its transposed stores write runs twice as long:
     2^25 splits as (8192, 4096), 64 columns and 1 KiB runs per 2 MiB.
+    An even n2 gives every column two halves to fold (see _count_below).
     """
-    step = 8 if n % 8 == 0 else 1
+    step = 8 if n % 16 == 0 else 1
     n1 = max(step, isqrt(2 * n) // step * step)
-    while n % n1:
+    while n // 2 % n1:
         n1 -= step
     return n1, n // n1
 
@@ -317,16 +319,15 @@ def _column_blocks(grid: np.ndarray, n1: int, width: int):
 
 
 def _even_rows(grid: np.ndarray, rows: np.ndarray, n2: int, width: int) -> None:
-    """Fill rows with the column spectra's rows k2 = 2k, Y[2k] = rfft_L(u
-    + v)[k] for u and v a column's halves, when n2 = 2L is even; with
-    every row, from real FFTs of length n2, when n2 is odd."""
+    """Fill rows with the column spectra's rows k2 = 2k, n2 = 2L even:
+    Y[2k] = rfft_L(u + v)[k] for u and v a column's halves."""
     n1 = rows.shape[1]
-    size = n2 // (2 - n2 % 2)
+    size = n2 // 2
     x = np.empty((min(width, n1), size))
     for a, cols in _column_blocks(grid, n1, width):
         w = cols.shape[1]
         # unpacked rows are contiguous, so the transpose reads from cache
-        x[:w] = (cols[:size] + cols[size:] if size < n2 else cols).T
+        x[:w] = (cols[:size] + cols[size:]).T
         rows[:, a:a + w] = np.fft.rfft(x[:w], axis=1).T
 
 
@@ -368,27 +369,26 @@ def _odd_rows(grid: np.ndarray, rows: np.ndarray, n2: int, width: int) -> None:
 
 
 def _count_rows(rows: np.ndarray, n: int, n2: int, parity: int, limit: float) -> int:
-    """Stage 2 of one pass: multiply row q, spectrum row k2 = step * q +
-    parity, by W_n ** (j1 * k2), transform it along its length n1, and
-    count the entries below limit that _row_span keeps.
+    """Stage 2 of one pass: multiply row q, spectrum row k2 = 2q + parity,
+    by W_n ** (j1 * k2), transform it along its length n1, and count the
+    entries below limit that _row_span keeps.
 
     Rows run in blocks of about _FFT_BLOCK_BYTES, each twiddled by one
-    table of W_n ** (step * r * j1) and one row from _twiddle_row.
+    table of W_n ** (2 * r * j1) and one row from _twiddle_row.
     """
     count, n1 = rows.shape
-    step = 2 - n2 % 2
     height = max(1, min(count, _FFT_BLOCK_BYTES // (16 * n1)))
-    table = _twiddle(step * np.arange(height)[:, None] * np.arange(n1), n)
+    table = _twiddle(2 * np.arange(height)[:, None] * np.arange(n1), n)
     below = 0
     for p in range(0, count, height):
         block = rows[p:p + height]
         block *= table[:len(block)]
-        if k2 := step * p + parity:
+        if k2 := 2 * p + parity:
             block *= _twiddle_row(k2, n1, n)
         small = np.abs(np.fft.fft(block, axis=1)) < limit
         below += int(np.count_nonzero(small))
         for k2 in {0, n2 // 2}:
-            q, off = divmod(k2 - parity, step)
+            q, off = divmod(k2 - parity, 2)
             if not off and p <= q < p + len(block):
                 below -= int(np.count_nonzero(small[q - p, _row_span(k2, n1, n2):]))
     return below
@@ -408,36 +408,34 @@ def _count_below(data, n: int, threshold: float) -> int:
     which gives X[k2 + n2 * k1] / 2, counted against threshold / 2; halving
     both sides is exact.
 
-    The rows are made and counted in passes through one buffer. When n2 is
-    odd, one pass takes every row from real FFTs of the columns, 8 B per
-    bit. When n2 = 2L is even, two passes of n2//4 + 1 rows, 4 B per bit,
-    take the even rows, Y[2k] = rfft_L(u + v)[k] with u and v a column's
-    first and second halves, and then the odd rows (see _odd_rows).
+    n2 = 2L is even (see _split), so the rows are made and counted in two
+    passes through one buffer of n2//4 + 1 rows, 4 B per bit: first the
+    even rows, Y[2k] = rfft_L(u + v)[k] with u and v a column's first and
+    second halves, then the odd rows (see _odd_rows).
 
     Both stages run in blocks of about _FFT_BLOCK_BYTES. The grid is held
-    packed, n2 rows of ceil(n1 / 8) bytes: a view of packed data (see
-    _split), or a 0/1 array's rows packed afresh, 1/8 B per bit. Each pass
-    unpacks each stage-1 block of columns, a multiple of 8 wide, once.
+    packed, n2 rows of ceil(n1 / 8) bytes: a view of bytes when n1 is a
+    multiple of 8, as it is when 16 divides n, or else rows packed afresh,
+    1/8 B per bit, from a 0/1 array or from bytes unpacked for the purpose
+    and dropped before the rows are made. Each pass unpacks each stage-1
+    block of columns, a multiple of 8 wide, once.
     """
     n1, n2 = _split(n)
-    if isinstance(data, bytes):
+    if isinstance(data, bytes) and n1 % 8 == 0:
         grid = np.frombuffer(data, dtype=np.uint8).reshape(n2, n1 // 8)
     else:
-        grid = np.packbits(data[:n].reshape(n2, n1), axis=1)
-    # pass `parity` holds the rows k2 = step * q + parity, q = 0, 1, ...
-    step = 2 - n2 % 2
-    buf = np.empty((n2 // 2 // step + 1, n1), dtype=np.complex128)
+        # unpacked bytes are a temporary, gone before the rows are made
+        grid = np.packbits((bits_from_bytes(data) if isinstance(data, bytes)
+                            else data[:n]).reshape(n2, n1), axis=1)
+    # the even rows k2 = 2q fill buf; the odd rows k2 = 2q + 1 its head
+    buf = np.empty((n2 // 4 + 1, n1), dtype=np.complex128)
     width = max(8, _FFT_BLOCK_BYTES // (64 * n2) * 8)
-    below = 0
-    for parity in range(step):
-        rows = buf[:(n2 // 2 - parity) // step + 1]
-        if parity:
-            _odd_rows(grid, rows, n2, width)
-        else:
-            _even_rows(grid, rows, n2, width)
-            rows[0] -= n2 / 2
-        below += _count_rows(rows, n, n2, parity, threshold / 2)
-    return below
+    _even_rows(grid, buf, n2, width)
+    buf[0] -= n2 / 2
+    below = _count_rows(buf, n, n2, 0, threshold / 2)
+    rows = buf[:(n2 // 2 + 1) // 2]
+    _odd_rows(grid, rows, n2, width)
+    return below + _count_rows(rows, n, n2, 1, threshold / 2)
 
 
 def fft_test(bits) -> TestReport:
@@ -450,10 +448,12 @@ def fft_test(bits) -> TestReport:
     expanding them to a byte per bit; any other input is a 0/1 sequence.
     The transform is a blocked four-step FFT of the packed bits (see
     _count_below) that never holds a float copy of the whole sequence: its
-    peak beside the input is one pass's spectrum rows, 4 B per bit when
-    the column length n2 is even and 8 B when it is odd, plus a few blocks
-    of _FFT_BLOCK_BYTES and a packed copy of a 0/1 array's bits; where
-    n1 = 8, as for 8 times a prime, stage 1's block is 16 B per bit.
+    peak beside the input is one pass's spectrum rows, 4 B per bit, plus a
+    few blocks of _FFT_BLOCK_BYTES, plus a packed copy of the bits, n/8
+    bytes, when rows are not whole bytes: for a 0/1 array, and for bytes
+    whose bit count 16 does not divide. Where n1 is small, as n1 = 4 for
+    8 times a prime, stage 1 takes every column in one block, and the peak
+    is about 20 B per bit.
     """
     if isinstance(bits, bytes):
         data, truncated, n = bits, 0, 8 * len(bits)
@@ -485,10 +485,11 @@ def run_suite(data, block_size: int = DEFAULT_BLOCK_SIZE) -> list[TestReport]:
     testable. The spectral test runs first, on the packed bytes, and the
     one uint8 per bit that the other five tests read is built after it,
     so peak memory beside the input is the spectral test's rows and a few
-    of its blocks: about 33 B per input byte (4 B per bit) when its column
-    length n2 is even, as for 4 MiB, and 65 B (8 B per bit) when it is odd.
-    Every other test works in place, in fixed-size slices or on counts
-    per block of bits, and both cumulative-sums reports share one walk.
+    of its blocks: about 33 B per input byte (4 B per bit), and 1 B more
+    for an odd byte count, whose bits it packs again as rows (fft_test
+    names the exception). Every other test works in place, in fixed-size
+    slices or on counts per block of bits, and both cumulative-sums
+    reports share one walk.
     """
     _refuse_int(data)
     buf = bytes(data)

@@ -359,11 +359,11 @@ class TestBlockedSpectrum:
 
     @pytest.mark.parametrize("block_bytes", [16, 1000, 40000, None])
     @pytest.mark.parametrize("n, split", [(130, (1, 130)), (4096, (1, 4096)), (130, (5, 26)),
-                                          (130, (13, 10)), (1000, (1000, 1)), (30030, (3, 10010)),
+                                          (130, (13, 10)), (1000, (125, 8)), (30030, (3, 10010)),
                                           (30030, (1155, 26)), (30030, (15015, 2))])
     def test_any_split_counts_like_the_oracles(self, n, split, block_bytes):
-        # n1 = 1; n1 odd; and at 1000 bytes n1 = 1155 against a stage-1 width
-        # of 4 columns, so the last stage-1 block is ragged
+        # n1 = 1; n1 odd; n2 = 2; and n1 = 125 or 1155 against stage-1
+        # blocks 8 columns wide at 16 and 1000 bytes, so the last is ragged
         size = stats._FFT_BLOCK_BYTES if block_bytes is None else block_bytes
         with mock.patch.object(stats, "_FFT_BLOCK_BYTES", size), \
                 mock.patch.object(stats, "_split", lambda m: split):
@@ -386,14 +386,17 @@ class TestBlockedSpectrum:
         assert abs(report.statistic) < 5
         assert peak < 4 * n + 3 * stats._FFT_BLOCK_BYTES
 
-    def test_an_odd_column_length_keeps_one_pass_of_the_half_spectrum(self):
-        # an odd n2 has no halves to fold: one pass holds all n2//2 + 1
-        # rows, 8 B per bit
-        n = 4194096
-        assert stats._split(n) == (2096, 2001)
-        report, peak = _traced_peak(fft_test, _bits(n))
-        assert report == _spectral_oracle(_bits(n))
-        assert peak < 8 * n + 3 * stats._FFT_BLOCK_BYTES
+    def test_an_odd_byte_count_takes_two_passes_beside_a_packed_copy(self):
+        # 16 does not divide n, so rows of n1 bits are not whole bytes: the
+        # bytes are unpacked and packed again as rows, 1/8 B per bit, and
+        # the byte per bit goes before the rows are made. n2 is even, so
+        # two passes of a quarter spectrum take 4 B per bit
+        data = random.Random(0xFFFFF).randbytes(1048575)
+        n = 8 * len(data)
+        assert stats._split(n) == (4092, 2050)
+        report, peak = _traced_peak(fft_test, data)
+        assert report == _spectral_oracle(bits_from_bytes(data))
+        assert peak < 4 * n + 3 * stats._FFT_BLOCK_BYTES + n // 8
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 2000), st.floats(0, 1), st.sampled_from([16, 1000, None]),
@@ -431,28 +434,27 @@ class TestBlockedSpectrum:
         for parity, rows in enumerate(passes):
             np.testing.assert_allclose(rows, spectra[parity:n2 // 2 + 1:2], rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("n, split", [(2, (2, 1)), (8, (8, 1)), (104, (8, 13)),
-                                          (2 * 10007, (2, 10007)), (10 ** 6, (1000, 1000)),
-                                          (2 ** 25, (8192, 4096))])
+    @pytest.mark.parametrize("n, split", [(2, (1, 2)), (8, (4, 2)), (104, (13, 8)),
+                                          (2 * 10007, (1, 20014)), (10 ** 6, (1000, 1000)),
+                                          (2 ** 25, (8192, 4096)), (8388600, (4092, 2050)),
+                                          (16, (8, 2))])
     def test_split_takes_the_divisor_nearest_below_the_root(self, n, split):
-        # the root of 2n: the largest divisor of n not above sqrt(2n), and a
-        # multiple of 8 when 8 divides n, so 8 bits split as (8, 1)
+        # the root of 2n: the largest divisor of n/2 not above sqrt(2n), and
+        # a multiple of 8 when 16 divides n, or 8, so 16 bits split as (8, 2)
         assert stats._split(n) == split
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 10 ** 6))
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4 * 10 ** 6))
+    @example(8)
     @example(13)
-    def test_split_of_whole_bytes_has_rows_of_whole_bytes(self, m):
-        n = 8 * m
+    def test_split_takes_the_largest_admissible_divisor(self, half):
+        # n2 is even, and rows are whole bytes whenever 16 divides n
+        n = 2 * half
         n1, n2 = stats._split(n)
-        assert n1 % 8 == 0 and n1 * n2 == n
-        assert all(n % c for c in range(n1 + 8, isqrt(2 * n) + 1, 8))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 8 * 10 ** 6).filter(lambda n: n % 8))
-    def test_split_of_other_lengths_takes_any_divisor(self, n):
-        n1 = max(d for d in range(1, isqrt(2 * n) + 1) if n % d == 0)
-        assert stats._split(n) == (n1, n // n1)
+        step = 8 if n % 16 == 0 else 1
+        assert n1 * n2 == n and n2 % 2 == 0 and n1 % step == 0
+        assert n1 <= max(step, isqrt(2 * n))
+        assert all(half % c for c in range(n1 + step, isqrt(2 * n) + 1, step))
 
     @pytest.mark.parametrize("n1, n2", [(2, 3), (4, 5), (6, 9), (8, 13), (2, 10007),
                                         (1, 2), (3, 4), (5, 6), (4, 8), (7, 10)])
@@ -475,12 +477,13 @@ class TestPackedSpectrum:
 
     @pytest.mark.parametrize("block_bytes", [None, 16, 1000, 40000])
     @pytest.mark.parametrize("size, split", [(4096, (256, 128)), (512 * 1024, (2048, 2048)),
-                                             (13, (8, 13)), (999, (72, 111)),
+                                             (13, (13, 8)), (999, (111, 72)),
                                              (1000, (80, 100))])
     def test_bytes_count_like_their_bits_and_the_oracle(self, size, split, block_bytes):
-        # rows of n1 bits are whole bytes, so the grid is a view of the input;
-        # at 40,000 block bytes a stage-1 block of 999 bytes is 40 columns,
-        # so n1 = 72 leaves a ragged last one
+        # where 16 divides n, rows of n1 bits are whole bytes and the grid is
+        # a view of the input; 13 and 999 bytes are packed again as rows of
+        # 13 and 111 bits. At 40,000 block bytes a stage-1 block of 999
+        # bytes is 64 columns, so n1 = 111 leaves a ragged last one
         assert stats._split(8 * size) == split
         data = random.Random(size).randbytes(size)
         bits = bits_from_bytes(data)
@@ -490,7 +493,7 @@ class TestPackedSpectrum:
             assert report == fft_test(bits)
         assert report == _spectral_oracle(bits)
 
-    @pytest.mark.parametrize("size", [13, 999, 1000, 1048575])
+    @pytest.mark.parametrize("size", [1000, 1 << 20])
     def test_bytes_are_read_in_place(self, size):
         data = random.Random(size).randbytes(size)
         with mock.patch.object(np, "packbits", side_effect=AssertionError("packbits")):
