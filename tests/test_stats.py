@@ -443,18 +443,24 @@ class TestBlockedSpectrum:
         # a multiple of 8 when 16 divides n, or 8, so 16 bits split as (8, 2)
         assert stats._split(n) == split
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 4 * 10 ** 6))
-    @example(8)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10 ** 6))
     @example(13)
-    def test_split_takes_the_largest_admissible_divisor(self, half):
-        # n2 is even, and rows are whole bytes whenever 16 divides n
-        n = 2 * half
+    def test_split_of_whole_bytes_has_rows_of_whole_bytes(self, m):
+        # 16 divides n: n1 is the largest multiple of 8 that divides n/2
+        n = 16 * m
         n1, n2 = stats._split(n)
-        step = 8 if n % 16 == 0 else 1
-        assert n1 * n2 == n and n2 % 2 == 0 and n1 % step == 0
-        assert n1 <= max(step, isqrt(2 * n))
-        assert all(half % c for c in range(n1 + step, isqrt(2 * n) + 1, step))
+        assert n1 % 8 == 0 and n1 * n2 == n and n2 % 2 == 0
+        assert all(n // 2 % c for c in range(n1 + 8, isqrt(2 * n) + 1, 8))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4 * 10 ** 6).map(lambda half: 2 * half).filter(lambda n: n % 16))
+    @example(8)
+    @example(26)
+    def test_split_of_other_lengths_takes_any_divisor(self, n):
+        # any divisor of n/2, so n2 is even
+        n1 = max(d for d in range(1, isqrt(2 * n) + 1) if n // 2 % d == 0)
+        assert stats._split(n) == (n1, n // n1)
 
     @pytest.mark.parametrize("n1, n2", [(2, 3), (4, 5), (6, 9), (8, 13), (2, 10007),
                                         (1, 2), (3, 4), (5, 6), (4, 8), (7, 10)])
