@@ -107,13 +107,13 @@ def cycle_length(seed: int, mu: int,
 
     It runs prng.cycle_blocks, the closure that the keystream's orbits
     also run, to its last item. That keeps every state it steps, 4 bytes
-    each in an array('I'), and a mark at each prng.CYCLE_BLOCK-word block
-    start, and places the tail from those words. Every map evaluation
-    counts against `max_steps`: whole blocks, the last one cut to the
-    budget. So steps_examined <= max_steps, and it exceeds tail + period
-    by less than two blocks. An out-of-range seed or mu raises
-    ValueError, and a non-integer one TypeError, from the generator's
-    first step.
+    each in an array('I'), and one mark per isqrt(prng.CYCLE_BLOCK) = 64
+    steps, and places the period and tail from those words. Every map
+    evaluation counts against `max_steps`: whole blocks, the last one cut
+    to the budget. So steps_examined <= max_steps, and it exceeds tail +
+    period by less than one block and 64 steps. An out-of-range seed or
+    mu raises ValueError, and a non-integer one TypeError, from the
+    generator's first step.
     """
     if max_steps < 1:
         raise ValueError(f"step budget must be >= 1: {max_steps!r}")

@@ -60,14 +60,16 @@ class _Orbit:
     """A generator's orbit from state x, stepped only as far as reads need.
 
     words[i] is the state i + 1 steps after x: prng.cycle_blocks appends
-    them in CYCLE_BLOCK-word blocks, and each block is folded into seq as
-    soon as it is appended, so len(seq) == len(words) until the orbit
-    closes. Once a word repeats, both are cut to the orbit's tail + period
-    distinct words, and seq gains the cycle's folds again over _BLOCK
-    bytes: every window of read(), at most _BLOCK bytes, that starts at or
-    before tail + period is one slice of seq, even for periods shorter
-    than a window. An orbit that overruns TABLE_CAP keeps no record: it
-    steps on alone, a CYCLE_BLOCK at a time, and drops the words it serves.
+    them in CYCLE_BLOCK-word blocks, 4 bytes a step, and keeps one mark
+    per isqrt(CYCLE_BLOCK) = 64 steps until the orbit closes. Each block
+    is folded into seq as soon as it is appended, so len(seq) ==
+    len(words) until then. Once a word repeats, both are cut to the
+    orbit's tail + period distinct words, and seq gains the cycle's folds
+    again over _BLOCK bytes: every window of read(), at most _BLOCK bytes,
+    that starts at or before tail + period is one slice of seq, even for
+    periods shorter than a window. An orbit that overruns TABLE_CAP keeps
+    no record: it steps on alone, a CYCLE_BLOCK at a time, and drops the
+    words it serves.
     """
 
     __slots__ = ("words", "seq", "tail", "period", "pos", "x", "mu", "_blocks")
@@ -158,8 +160,9 @@ class KeystreamGenerator:
         recorded from the first word of the read that reaches the threshold,
         or afresh from its generator's state if that moved (by iterate()).
         Of k words served, an orbit steps at most min(k, tail + period +
-        CYCLE_BLOCK) + CYCLE_BLOCK. Then both generators hold the state that
-        n steps reach.
+        isqrt(CYCLE_BLOCK)) + CYCLE_BLOCK, as its closure steps less than
+        tail + period + isqrt(CYCLE_BLOCK) + CYCLE_BLOCK words. Then both
+        generators hold the state that n steps reach.
         """
         if n < 0:
             raise ValueError(f"byte count must be >= 0: {n!r}")

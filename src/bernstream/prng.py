@@ -13,7 +13,8 @@ multiplier.
 from __future__ import annotations
 
 from array import array
-from itertools import repeat
+from itertools import islice, repeat
+from math import isqrt
 from operator import index
 
 WORD_BITS = 32
@@ -149,8 +150,9 @@ def step_lanes(x, mu):
 
 # Words per block of cycle_blocks, for analysis.cycle_length and the
 # keystream's recorded orbits, which take it from here alone. A closure
-# steps less than two blocks past tail + period, so a smaller block
-# oversteps less; it costs one mark and one set() per block.
+# steps less than CYCLE_BLOCK + 2 * isqrt(CYCLE_BLOCK) words past tail +
+# period, so a smaller block oversteps less; each block costs about
+# 2 * isqrt(CYCLE_BLOCK) dict operations beside its steps.
 CYCLE_BLOCK = 4096
 
 
@@ -161,45 +163,68 @@ def cycle_blocks(x: int, mu: int, max_steps: int, words: array):
     last item, (tail, period, steps).
 
     Let x_0 = x and x_i be the state i steps on. The orbit is stepped
-    with BernoulliGenerator.iterate in blocks of CYCLE_BLOCK words, and the
-    state at each block start is kept as a mark. The first word x_e that
-    equals a mark or an earlier word of its own block closes the search:
-    its earlier occurrence x_o lies on the cycle and recurs for the first
-    time at e, so the minimal period is e - o. The last mark s before o
-    is off the cycle, or it would have recurred before e; so the tail is
-    the first t in (s, o] with x_t == x_{t + period}.
+    with BernoulliGenerator.iterate in blocks of CYCLE_BLOCK words. Let
+    S = isqrt(CYCLE_BLOCK). x_0 and every x_i with S | i are marks, kept
+    in one dict from word to index. A block ending at step E tests its
+    window, its last S words x_{E-S+1} .. x_E (all of it if the budget
+    cut it shorter), against the marks before the window, and only then
+    adds the window's own mark. The first window word x_p that equals a
+    mark x_q closes the search: x_q recurs at p > q, so it lies on the
+    cycle and the period divides p - q. The minimal period is the least
+    divisor t of p - q with x_{q+t} == x_q, found by trial division.
+
+    A full window, ending at E, hits if period >= S and E >= tail +
+    period + S - 1: it holds one p with p % S == period % S, whose mark
+    p - period >= tail lies before the window. It hits if period < S and
+    the last mark before the window, above E - 2S, is on the cycle: that
+    mark recurs every period < S steps, so once in the window. Both hold
+    once E >= tail + period + 2S - 1, so steps < tail + period +
+    CYCLE_BLOCK + 2S. When S divides CYCLE_BLOCK (as 64 divides 4096), a
+    short period hits by the first block end S past the first mark m >=
+    tail, so at most at m + CYCLE_BLOCK, and in both cases steps < tail +
+    period + CYCLE_BLOCK + S. The block before the closing one, ending at
+    base, had a full window and no hit, so base < tail + period + 2S - 1,
+    and x_s is off the cycle for s = base - 2S - period, if s > 0. So the
+    tail is 0 if x_0 == x_period, and otherwise the first t in
+    (max(s, 0), q] with x_t == x_{t + period}.
 
     Each block of words x_1, x_2, ... is appended to `words`, an
-    array('I'), before the generator yields, and the tail is placed from
-    those: memory grows by 4 bytes a step.
+    array('I'), before the generator yields, and the period and tail are
+    placed from those: memory grows by 4 bytes a step, plus one mark per
+    S steps.
 
     Every map evaluation counts against `max_steps`, so steps <=
-    max_steps, and steps exceeds tail + period by less than two blocks.
-    When the budget runs out first, tail and period are None.
+    max_steps. When the budget runs out first, tail and period are None.
     """
     gen = BernoulliGenerator(x, mu)
-    marks, steps = {gen.x: 0}, 0
+    x, marks, steps = gen.x, {gen.x: 0}, 0
+    S = isqrt(CYCLE_BLOCK)
     while steps < max_steps:
         base = steps  # chunk holds x_{base+1} .. x_{steps}
         chunk = gen.iterate(min(CYCLE_BLOCK, max_steps - steps))
         steps += len(chunk)
         words.fromlist(chunk)
-        if len(seen := set(chunk)) == len(chunk) and marks.keys().isdisjoint(seen):
-            marks[chunk[-1]] = steps
-            del chunk, seen  # a paused search keeps no block
+        first = -(base + 1) % S  # chunk[first] is the block's first mark
+        cut = max(len(chunk) - S, 0)  # the window is chunk[cut:]
+        marked = zip(chunk[first::S], range(base + 1 + first, steps + 1, S))
+        marks.update(islice(marked, len(range(first, cut, S))))
+        window = chunk[cut:]
+        if marks.keys().isdisjoint(window):
+            marks.update(marked)
+            del chunk, window  # a paused search keeps no block
             yield None
             continue
-        first = {}
-        for e, w in enumerate(chunk, base + 1):
-            o = marks.get(w, first.get(w))
-            if o is not None:
-                break
-            first[w] = e
-        period, tail = e - o, 0
-        if o:
-            s = (o - 1) // CYCLE_BLOCK * CYCLE_BLOCK
-            # words[i] is x_{i+1}
-            pairs = zip(words[s:o], words[s + period:e])
+        # words[i] is x_{i+1}
+        p, q = next((p, marks[w]) for p, w in enumerate(window, steps - len(window) + 1)
+                    if w in marks)
+        d, x_q = p - q, words[q - 1] if q else x
+        small = [t for t in range(1, isqrt(d) + 1) if d % t == 0]
+        period = next(t for t in small + [d // t for t in reversed(small)]
+                      if words[q + t - 1] == x_q)
+        tail = 0
+        if x != words[period - 1]:
+            s = max(base - 2 * S - period, 0)
+            pairs = zip(words[s:q], words[s + period:q + period])
             tail = s + 1 + next(i for i, (a, b) in enumerate(pairs) if a == b)
         yield tail, period, steps
         return

@@ -2,14 +2,18 @@ import io
 import random
 import tracemalloc
 from array import array
+from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernstream import analysis, prng
 from bernstream.analysis import (CYCLE_BLOCK, bifurcation_scan, byte_section,
                                  coverage, cycle_length, write_bifurcation_csv)
-from bernstream.prng import BernoulliGenerator, generalization_factor, max_step_value
+from bernstream.prng import (WORD_MASK, BernoulliGenerator, generalization_factor,
+                             max_step_value)
 
 from oracles import advance, cycle_visited, orbit_reference, verify_cycle
 
@@ -219,7 +223,7 @@ class TestCycleLength:
             cycle_length(seed, mu)
 
     def test_numpy_integer_seed_is_stepped_as_a_python_int(self):
-        want = (39396, 168564, 212_992)
+        want = (39396, 168564, 208_896)
         assert cycle_length(0x80000000, 170) == want
         assert cycle_length(np.uint32(0x80000000), 170) == want
         assert cycle_length(np.uint32(0x80000000), np.uint8(170)) == want
@@ -233,7 +237,7 @@ class TestCycleLength:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.steps_examined == 212_992
+        assert result.steps_examined == 208_896
         assert peak < 4 * result.steps_examined + (1 << 20)
 
 
@@ -243,6 +247,8 @@ class TestCycleLength:
 SHORT_PERIOD = (43199109, 133, 12886, 1488)  # period < CYCLE_BLOCK
 LONG_PERIOD = (3066604971, 161, 6043, 9932)  # period > 2 * CYCLE_BLOCK
 SMALL = (448735339, 129, 666, 1184)
+FIXED_POINT = (12345, 0, 1, 1)  # mu 0: every orbit lands on 2**31
+PERIOD_2 = (2829035385, 187, 31301, 2)
 
 
 def with_tail(orbit, tail):
@@ -251,13 +257,27 @@ def with_tail(orbit, tail):
     return advance(seed, mu, full_tail - tail), mu
 
 
-def first_recurrence(tail, period, block):
-    """Where the single pass finds the cycle: the first index e whose
-    earlier occurrence e - period is a mark or lies in e's own block."""
-    e = tail + period
-    while (e - period) % block and (e - period - 1) // block != (e - 1) // block:
-        e += 1
-    return e
+def closing_step(orbit, block, budget):
+    """Where the single pass closes the orbit x_0, x_1, ... = orbit, by its
+    rule restated without its dict: each block, ending at E = min(k *
+    block, budget), closes it if one of its last isqrt(block) words equals
+    a mark before them, a word x_i with isqrt(block) dividing i. None if no
+    block up to the budget does. orbit must reach the budget or the close."""
+    S = isqrt(block)
+    base = 0
+    while base < budget:
+        end = min(base + block, budget)
+        lo = max(base, end - S)  # the window is x_{lo+1} .. x_end
+        assert end < len(orbit)
+        if not set(orbit[:lo + 1:S]).isdisjoint(orbit[lo + 1:end + 1]):
+            return end
+        base = end
+    return None
+
+
+def whole_orbit(seed, mu, n):
+    """x_0 .. x_n from seed."""
+    return [seed] + orbit_reference(seed, mu, n)
 
 
 CYCLE_CASES = [
@@ -266,7 +286,7 @@ CYCLE_CASES = [
     ("tail in the first block", CYCLE_BLOCK, SHORT_PERIOD, 100),
     ("tail at the second mark", CYCLE_BLOCK, SHORT_PERIOD, 2 * CYCLE_BLOCK),
     ("tail one past a mark", CYCLE_BLOCK, SHORT_PERIOD, CYCLE_BLOCK + 1),
-    ("long period, replayed tail", CYCLE_BLOCK, LONG_PERIOD, 6043),  # before the last two blocks
+    ("long period, replayed tail", CYCLE_BLOCK, LONG_PERIOD, 6043),  # two blocks before the close
     ("long period, tail at a mark", CYCLE_BLOCK, LONG_PERIOD, CYCLE_BLOCK),
     ("period = block", 1184, SMALL, 666),
     ("period = 4 blocks", 296, SMALL, 666),
@@ -274,6 +294,17 @@ CYCLE_CASES = [
     ("period = 32 blocks, tail 0", 37, SMALL, 0),
     ("every state a mark", 1, SMALL, 666),
     ("block of 2", 2, SMALL, 665),
+    ("period 1, mu 0", CYCLE_BLOCK, FIXED_POINT, 1),
+    ("period 1 from the seed", CYCLE_BLOCK, FIXED_POINT, 0),
+    ("period 2", CYCLE_BLOCK, PERIOD_2, 100),
+    ("period 2, tail in a block's last isqrt(block) words", CYCLE_BLOCK, PERIOD_2,
+     2 * CYCLE_BLOCK - 3),
+    ("long period, tail in a block's last isqrt(block) words", CYCLE_BLOCK, LONG_PERIOD,
+     CYCLE_BLOCK - 10),
+    # isqrt(37) = 6: the block ending at 185 tests its window, 180 .. 185,
+    # against marks up to 174, so it does not close the orbit, though its
+    # tail, 176, lies more than 6 + 2 words before that block's end
+    ("period 2, tail more than isqrt(block) + period before a block end", 37, PERIOD_2, 176),
 ]
 
 
@@ -286,9 +317,27 @@ def test_single_pass_agrees_with_visited_set(monkeypatch, name, block, orbit, ta
     assert cycle_visited(seed, mu, 40_000) == (tail, period)
     result = cycle_length(seed, mu)
     assert (result.tail, result.period) == (tail, period)
-    e = first_recurrence(tail, period, block)
-    assert e <= result.steps_examined < e + block
-    assert result.steps_examined < tail + period + 2 * block
+    e = closing_step(whole_orbit(seed, mu, 2 * (tail + period + block)), block, 10**7)
+    assert result.steps_examined == e
+    assert tail + period <= e < tail + period + block + 2 * isqrt(block)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, WORD_MASK), mu=st.integers(0, 255),
+       block=st.sampled_from([1, 2, 37, 296, CYCLE_BLOCK]))
+def test_any_orbit_closes_as_the_visited_set_within_the_bound(seed, mu, block):
+    # Within the budget, the pass closes every orbit with the visited set's
+    # tail and period, or the orbit is too long for the bound to promise it.
+    budget, S = 20_000, isqrt(block)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prng, "CYCLE_BLOCK", block)
+        tail, period, steps = cycle_length(seed, mu, budget)
+    if tail is None:
+        assert steps == budget
+        assert cycle_visited(seed, mu, budget - block - 2 * S + 1) is None
+    else:
+        assert (tail, period) == cycle_visited(seed, mu, steps + 1)
+        assert tail + period <= steps < tail + period + block + 2 * S
 
 
 @pytest.mark.parametrize("block, orbit, tail", [
@@ -299,15 +348,18 @@ def test_single_pass_agrees_with_visited_set(monkeypatch, name, block, orbit, ta
     (296, SMALL, 666),
 ])
 def test_budget_at_the_recurrence(monkeypatch, block, orbit, tail):
-    # Blocks are stepped whole unless the budget cuts them, and the tail is
-    # placed from the words kept, so a budget of e finds the cycle.
+    # Blocks are stepped whole unless the budget cuts them, and a cut block
+    # is tested by its own last isqrt(block) words. The block ending at end
+    # closes the orbit, and e is the smallest budget inside it that does;
+    # the tail and period are placed from the words kept.
     monkeypatch.setattr(prng, "CYCLE_BLOCK", block)
     seed, mu = with_tail(orbit, tail)
-    e = first_recurrence(tail, orbit[3], block)
-    end = -(-e // block) * block
+    xs = whole_orbit(seed, mu, 2 * (tail + orbit[3] + block))
+    end = closing_step(xs, block, 10**7)
+    e = next(b for b in range(end - block + 1, end + 1) if closing_step(xs, block, b))
     for budget in sorted({e - 1, e, end - 1, end, end + 1}):
         result = cycle_length(seed, mu, max_steps=budget)
-        if budget >= e:
+        if closing_step(xs, block, budget):
             assert (result.tail, result.period) == (tail, orbit[3])
         else:
             assert not result.found
@@ -318,7 +370,7 @@ def test_budget_at_the_recurrence(monkeypatch, block, orbit, tail):
 # close the orbit yields None, the last one cut to the budget
 @pytest.mark.parametrize("seed, mu, budget, k, last", [
     (*SHORT_PERIOD[:2], 10**6, 3, (12886, 1488, 4 * CYCLE_BLOCK)),
-    (*LONG_PERIOD[:2], 10**6, 4, (6043, 9932, 5 * CYCLE_BLOCK)),
+    (*LONG_PERIOD[:2], 10**6, 3, (6043, 9932, 4 * CYCLE_BLOCK)),
     (*SHORT_PERIOD[:2], 10_000, 3, (None, None, 10_000)),
     (2**31, 0, 10**6, 0, (0, 1, CYCLE_BLOCK)),  # the seed is its own cycle
 ], ids=["short period", "long period", "budget runs out", "seed on its cycle"])

@@ -308,8 +308,10 @@ class TestKeystreamGenerator:
         assert gen.read(SIM_LONG - TABLE_THRESHOLD) == want[TABLE_THRESHOLD:]
         for orbit, (tail, period) in zip(gen._orbits, [SIM_ORBIT_A, SIM_ORBIT_B]):
             assert (orbit.tail, orbit.period) == (tail - 1, period)
-        # each closure steps less than two closure blocks past its tail + period
-        assert sum(stepped.values()) < sum(SIM_ORBIT_A) + sum(SIM_ORBIT_B) + 4 * prng.CYCLE_BLOCK
+        # each closure steps less than one closure block and 64 words past
+        # its tail + period
+        assert sum(stepped.values()) < sum(SIM_ORBIT_A) + sum(SIM_ORBIT_B) + 2 * (
+            prng.CYCLE_BLOCK + 64)
         assert gen.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, SIM_LONG)
         assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, SIM_LONG)
 
@@ -411,10 +413,11 @@ def test_bulk_encrypt_orbits_close_within_two_closure_blocks():
     for key in map(parse_key, BULK_KEYS):
         for seed, mu in ((key.seed1, key.mu1), (key.seed2, key.mu2)):
             tail, period, n = analysis.cycle_length(seed, mu, keystream.TABLE_CAP)
-            assert tail + period <= n < tail + period + 2 * prng.CYCLE_BLOCK
+            # 64 = isqrt(CYCLE_BLOCK), which divides CYCLE_BLOCK
+            assert tail + period <= n < tail + period + prng.CYCLE_BLOCK + 64
             steps, visited = steps + n, visited + tail + period
     assert visited == 535_094
-    assert steps == 565_248
+    assert steps == 557_056
 
 
 def test_orbits_fold_one_closure_block_at_a_time(monkeypatch):
@@ -593,7 +596,7 @@ SIM_ORBITS = [(SIM_KEY.seed1, SIM_KEY.mu1, *SIM_ORBIT_A),
 def test_each_orbit_word_is_stepped_at_most_once(monkeypatch, orbits, cap):
     # Over random read splits, with iterate() on one generator or both
     # between reads, each recorded orbit steps at most min(words served,
-    # tail + period + CYCLE_BLOCK) + CYCLE_BLOCK words from its anchor, and
+    # tail + period + isqrt(CYCLE_BLOCK)) + CYCLE_BLOCK words from its anchor, and
     # iterate() re-records only the orbit of the generator it moved. An
     # orbit longer than TABLE_CAP steps at most words served + CYCLE_BLOCK.
     if cap:
@@ -642,7 +645,7 @@ def test_each_orbit_word_is_stepped_at_most_once(monkeypatch, orbits, cap):
                     served, length = anchor[2], anchor[1]
                     if length > keystream.TABLE_CAP:
                         length = served
-                    assert anchor[3] <= min(served, length + block) + block
+                    assert anchor[3] <= min(served, length + math.isqrt(block)) + block
                 pos[i] += k
 
 

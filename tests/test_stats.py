@@ -619,7 +619,7 @@ class TestRunSuite:
     def test_peak_is_the_half_spectrum_without_a_byte_per_bit(self):
         # the spectral test reads the packed input and runs before the bits
         # are expanded, so the one uint8 per bit (1 B per bit) never sits
-        # beside its half spectrum (8 B per bit)
+        # beside the rows of its pass (4 B per bit)
         data = random.Random(0x512).randbytes(512 * 1024)
         tracemalloc.start()
         try:
@@ -628,7 +628,7 @@ class TestRunSuite:
         finally:
             tracemalloc.stop()
         assert len(reports) == 6
-        assert peak < 8 * 8 * len(data) + 3 * stats._FFT_BLOCK_BYTES
+        assert peak < 4 * 8 * len(data) + 3 * stats._FFT_BLOCK_BYTES
 
     def test_peak_is_a_quarter_spectrum_when_the_column_length_is_even(self):
         # 512 KiB split as (2048, 2048): the spectral test holds one pass's
