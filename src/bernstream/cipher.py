@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .keystream import KeystreamGenerator
+from .keystream import KeystreamGenerator, key_period
 from .prng import _check_mu, _check_word, step
 
 # mu/256 > 1/2 keeps the map expansive; below that orbits contract onto
@@ -138,24 +138,21 @@ def generate_key() -> CipherKey:
     """Draw a key from OS randomness, re-drawing until validation passes
     and the keystream's period is at least PERIOD_FLOOR (2^24) bytes.
 
-    Both generators' orbits are closed exactly with analysis.cycle_length,
-    tens of milliseconds a key; past the longer tail, the keystream repeats
-    every lcm(period1, period2) bytes. A key whose orbits do not both close
-    within cycle_length's default step budget is drawn again too.
+    keystream.key_period closes both generators' orbits exactly, tens of
+    milliseconds a key; past the longer tail, the keystream repeats every
+    lcm(period1, period2) bytes. A key is drawn again too unless each orbit
+    closes within keystream.TABLE_CAP (2^20) words with a margin of
+    CYCLE_BLOCK + 64 words, so read() never refuses a key this returns.
     """
-    # here, not at module level: only keygen needs them
-    import secrets
-    from math import lcm
-
-    from .analysis import cycle_length
+    import secrets  # here, not at module level: only keygen needs it
 
     while True:
         try:
             key = parse_key(secrets.token_hex(KEY_HEX_LEN // 2))
         except DegenerateKeyError:
             continue
-        a, b = cycle_length(key.seed1, key.mu1), cycle_length(key.seed2, key.mu2)
-        if a.found and b.found and lcm(a.period, b.period) >= PERIOD_FLOOR:
+        record = key_period(key)
+        if record and record.period >= PERIOD_FLOOR:
             return key
 
 

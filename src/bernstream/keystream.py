@@ -13,6 +13,8 @@ output is built in windows of 64 KiB.
 from __future__ import annotations
 
 from array import array
+from math import isqrt, lcm
+from typing import NamedTuple
 
 from .prng import CYCLE_BLOCK, BernoulliGenerator, cycle_blocks
 
@@ -21,9 +23,10 @@ from .prng import CYCLE_BLOCK, BernoulliGenerator, cycle_blocks
 # TABLE_THRESHOLD bytes in all, and serves each generator from its orbit
 # from then on. Below the threshold, recording costs more than it saves.
 TABLE_THRESHOLD = 64 * 1024
-# Longest orbit, tail plus period in words, that is recorded. Strong orbits
-# close within about 3e5 words; weak-mu orbits are not bounded in principle,
-# so once one has not closed by the cap, its generator steps on alone.
+# Most words an orbit steps to close, for read() and key_period alike. Strong
+# orbits close within about 3e5 words; weak-mu orbits are not bounded in
+# principle, so a read past one that has not closed by the cap raises: its
+# keystream's period is unknown.
 TABLE_CAP = 1 << 20
 # Bytes per window of read(). Each window's keystream is one int; the words
 # behind it are stepped and folded CYCLE_BLOCK words at a time, so no other
@@ -67,47 +70,44 @@ class _Orbit:
     orbit's tail + period distinct words, and seq gains the cycle's folds
     again over _BLOCK bytes: every window of read(), at most _BLOCK bytes,
     that starts at or before tail + period is one slice of seq, even for
-    periods shorter than a window. An orbit that overruns TABLE_CAP keeps
-    no record: it steps on alone, a CYCLE_BLOCK at a time, and drops the
-    words it serves.
+    periods shorter than a window. An orbit records at most TABLE_CAP words.
     """
 
-    __slots__ = ("words", "seq", "tail", "period", "pos", "x", "mu", "_blocks")
+    __slots__ = ("words", "seq", "tail", "period", "pos", "x", "_blocks")
 
     def __init__(self, x: int, mu: int):
         self.words, self.seq = array("I"), bytearray()
         self.tail = self.period = None
         # words[pos] is the next word to serve, and x the state before it
-        self.pos, self.x, self.mu = 0, x, mu
-        self._blocks = cycle_blocks(x, mu, TABLE_CAP, self.words)  # None once it ends
+        self.pos, self.x = 0, x
+        self._blocks = cycle_blocks(x, mu, TABLE_CAP, self.words)
 
-    def serve(self, n: int) -> int:
-        """The folds of the next n <= _BLOCK words, as one little-endian int."""
+    def record(self, n: int) -> bool:
+        """Step on until the orbit is closed or holds the next n words;
+        False if it ran out at TABLE_CAP words first."""
         words, seq = self.words, self.seq
         while self.period is None and len(words) < self.pos + n:
-            done = None
-            if self._blocks:
-                done = next(self._blocks)  # (tail, period, steps) once it ends
-            else:  # past TABLE_CAP: step on from the last word
-                stepper = BernoulliGenerator(words[-1] if words else self.x, self.mu)
-                words.fromlist(stepper.iterate(CYCLE_BLOCK))
+            # (tail, period, steps) once it ends; a spent closure ran out
+            done = next(self._blocks, (None, None))
             with memoryview(words) as view:
                 seq += _fold(view[len(seq):])
             if done:
-                self._blocks = None
-                if done[1]:  # a word repeated, rather than TABLE_CAP ran out
-                    self._close(*done[:2])
-        pos, end = self.pos, self.pos + n  # _close may have wrapped pos
-        with memoryview(seq) as view:
+                self._blocks.close()  # drops the closure's marks and last block
+                if done[1] is None:
+                    return False
+                self._close(*done[:2])
+        return True
+
+    def serve(self, n: int) -> int:
+        """The folds of the next n <= _BLOCK words, as one little-endian int."""
+        pos, end = self.pos, self.pos + n
+        with memoryview(self.seq) as view:
             out = int.from_bytes(view[pos:end], "little")
         last = end - 1
         if self.period and last >= self.tail:
             last = self.tail + (last - self.tail) % self.period
         # pos may reach tail + period, where seq still holds a whole block.
-        self.pos, self.x = last + 1, words[last]
-        if not (self._blocks or self.period):  # past TABLE_CAP: keep no record
-            del words[:end], seq[:end]
-            self.pos = 0
+        self.pos, self.x = last + 1, self.words[last]
         return out
 
     def _close(self, tail: int, period: int) -> None:
@@ -162,7 +162,10 @@ class KeystreamGenerator:
         Of k words served, an orbit steps at most min(k, tail + period +
         isqrt(CYCLE_BLOCK)) + CYCLE_BLOCK, as its closure steps less than
         tail + period + isqrt(CYCLE_BLOCK) + CYCLE_BLOCK words. Then both
-        generators hold the state that n steps reach.
+        generators hold the state that n steps reach. A read that needs a
+        word past an orbit's first TABLE_CAP, with no repeat among them,
+        raises ValueError, with or without allow_weak_mu, before it serves a
+        byte or moves a generator: both orbits record the read's words first.
         """
         if n < 0:
             raise ValueError(f"byte count must be >= 0: {n!r}")
@@ -172,8 +175,13 @@ class KeystreamGenerator:
         self._served += n
         orbits = self._orbits
         if self._served >= TABLE_THRESHOLD:
+            gens = (self.gen_a, self.gen_b)
             orbits[:] = [o if o and o.x == g.x else _Orbit(g.x, g.mu)
-                         for o, g in zip(orbits, (self.gen_a, self.gen_b))]
+                         for o, g in zip(orbits, gens)]
+            unclosed = [g.mu for o, g in zip(orbits, gens) if not o.record(n)]
+            if unclosed:
+                raise ValueError(f"the orbit of mu {unclosed[0]} has not closed within "
+                                 f"TABLE_CAP = {TABLE_CAP} words: its period is unknown")
         out = []
         for start in range(0, n, _BLOCK):
             size = min(_BLOCK, n - start)
@@ -197,3 +205,33 @@ class KeystreamGenerator:
 def keystream_bytes(key, n: int, allow_weak_mu: bool = False) -> bytes:
     """First n keystream bytes for a key, from fresh generators."""
     return KeystreamGenerator.from_key(key, allow_weak_mu=allow_weak_mu).read(n)
+
+
+class KeyPeriod(NamedTuple):
+    """A key's two orbits from its seeds, in steps. From byte repeat_at on,
+    and not before, each keystream byte equals the one period bytes back,
+    where period is lcm(period_a, period_b)."""
+
+    tail_a: int
+    period_a: int
+    tail_b: int
+    period_b: int
+    period: int
+    repeat_at: int
+
+
+def key_period(key) -> KeyPeriod | None:
+    """A key's KeyPeriod, from prng.cycle_blocks under TABLE_CAP; None
+    unless each orbit has tail + period + CYCLE_BLOCK + isqrt(CYCLE_BLOCK)
+    <= TABLE_CAP. Such an orbit closes within TABLE_CAP words from any
+    later state too, so read() never refuses the key."""
+    orbits = []
+    for seed, mu in ((key.seed1, key.mu1), (key.seed2, key.mu2)):
+        *_, (tail, period, _) = cycle_blocks(seed, mu, TABLE_CAP, array("I"))
+        if period is None or tail + period + CYCLE_BLOCK + isqrt(CYCLE_BLOCK) > TABLE_CAP:
+            return None
+        orbits += tail, period
+    tail_a, period_a, tail_b, period_b = orbits
+    period = lcm(period_a, period_b)
+    # byte i comes from step i + 1
+    return KeyPeriod(*orbits, period, max(tail_a - 1, tail_b - 1, 0) + period)

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bernstream import analysis
-from bernstream.analysis import CycleResult, cycle_length
+from bernstream import cipher, keystream
+from bernstream.analysis import cycle_length
 from bernstream.cipher import (PERIOD_FLOOR, CipherIOError, CipherKey, DegenerateKeyError,
                                KeyFormatError, WeakMuError, decrypt_bytes,
                                decrypt_stream, encrypt_bytes, encrypt_stream,
                                generate_key, parse_key)
-from bernstream.keystream import TABLE_THRESHOLD, KeystreamGenerator, keystream_bytes
+from bernstream.keystream import TABLE_THRESHOLD, KeyPeriod, KeystreamGenerator, keystream_bytes
 from bernstream.prng import BernoulliGenerator, step
 
 from oracles import advance, keystream_reference, xor_reference
@@ -480,6 +480,26 @@ def test_generate_key_draws_again_after_a_short_period_key(monkeypatch):
     assert next(draws, None) is None
 
 
+def test_generate_key_draws_again_when_an_orbit_outruns_the_cap(monkeypatch):
+    # GOOD_KEY's orbit a has tail + period 247,539 words: past a cap of
+    # 200,000 less the closure's CYCLE_BLOCK + 64 margin, though its period
+    # is far above the floor. The next seeded draw's orbits, of 58,894 and
+    # 86,071 words, fit.
+    nxt = random.Random(0).randbytes(10).hex().upper()
+    want = keystream_bytes(parse_key(nxt), 100_000)
+    draws = iter([GOOD_KEY.to_hex(), nxt])
+    monkeypatch.setattr(secrets, "token_hex", lambda nbytes: next(draws))
+    monkeypatch.setattr(keystream, "TABLE_CAP", 200_000)
+    assert keystream.key_period(GOOD_KEY) is None
+    key = generate_key()
+    assert key == parse_key(nxt)
+    assert next(draws, None) is None
+    # a read from the seed closes both orbits under the cap
+    gen = KeystreamGenerator.from_key(key)
+    assert gen.read(100_000) == want
+    assert all(orbit.period for orbit in gen._orbits)
+
+
 def test_generate_key_never_returns_a_key_below_the_period_floor(monkeypatch):
     rng, draws = random.Random(23), []
 
@@ -503,10 +523,10 @@ def test_generate_key_never_returns_a_key_below_the_period_floor(monkeypatch):
 
 
 def test_generate_key_never_emits_invalid_keys(monkeypatch):
-    # every orbit closes at once at the floor's period, so the 1,000 draws
-    # test validation alone; real closures run in the two tests above
-    monkeypatch.setattr(analysis, "cycle_length",
-                        lambda seed, mu: CycleResult(0, PERIOD_FLOOR, PERIOD_FLOOR))
+    # every key's orbits close at once at the floor's period, so the 1,000
+    # draws test validation alone; real closures run in the tests above
+    floor = KeyPeriod(0, PERIOD_FLOOR, 0, PERIOD_FLOOR, PERIOD_FLOOR, PERIOD_FLOOR)
+    monkeypatch.setattr(cipher, "key_period", lambda key: floor)
     for _ in range(1000):
         key = generate_key()
         key.validate()  # raises on degenerate or weak draws

@@ -365,11 +365,12 @@ def test_short_periods_match_scalar_across_boundaries(monkeypatch, orbit_a, orbi
 
 
 def served_until_closed(x, mu):
-    """An _Orbit from state x, served in _BLOCK-word windows until it closes."""
+    """An _Orbit from state x, recorded and served in _BLOCK-word windows
+    until it closes; it must close within TABLE_CAP words."""
     orbit = keystream._Orbit(x, mu)
-    while orbit.period is None and orbit._blocks:
+    while orbit.period is None:
+        assert orbit.record(keystream._BLOCK)
         orbit.serve(keystream._BLOCK)
-    assert orbit.period is not None
     return orbit
 
 
@@ -408,14 +409,19 @@ BULK_KEYS = ("F4271242D67D883F82A5", "C13EE345BB155AB65983",
 def test_bulk_encrypt_orbits_close_within_two_closure_blocks():
     # encrypt's reads step each of these eight orbits from its seed, through
     # prng.cycle_blocks with this budget, until it closes; cycle_length runs
-    # the same closure to its end
+    # the same closure to its end, and key_period records both of a key's
     steps = visited = 0
     for key in map(parse_key, BULK_KEYS):
+        orbits = []
         for seed, mu in ((key.seed1, key.mu1), (key.seed2, key.mu2)):
             tail, period, n = analysis.cycle_length(seed, mu, keystream.TABLE_CAP)
             # 64 = isqrt(CYCLE_BLOCK), which divides CYCLE_BLOCK
             assert tail + period <= n < tail + period + prng.CYCLE_BLOCK + 64
             steps, visited = steps + n, visited + tail + period
+            orbits += tail, period
+        record = keystream.key_period(key)
+        assert record[:4] == tuple(orbits)
+        assert record.period == math.lcm(orbits[1], orbits[3])
     assert visited == 535_094
     assert steps == 557_056
 
@@ -451,12 +457,27 @@ def test_orbits_fold_one_closure_block_at_a_time(monkeypatch):
 
 def assert_capped_a_closed_b(orbits):
     """SIM_KEY's orbits under a TABLE_CAP of 2**17, recorded from a stream
-    position past b's tail: a overran the cap, so it keeps no record and
-    steps on alone; b closed."""
+    position past b's tail: a ran out at the cap without a repeat, so it
+    holds 2**17 words and no period; b closed."""
     a, b = orbits
     assert (a.tail, a.period) == (None, None)
-    assert len(a.words) < prng.CYCLE_BLOCK
+    assert len(a.words) == 1 << 17
     assert (b.tail, b.period) == (0, SIM_ORBIT_B[1])
+
+
+# What read() raises once it needs a word past SIM_KEY's generator a's
+# first 2**17, under a TABLE_CAP of 2**17.
+CAPPED_A = r"^the orbit of mu 170 has not closed within TABLE_CAP = 131072 words"
+
+
+def assert_read_refused(gen, n, data=None):
+    """read(n, data) raises CAPPED_A, and so does the same read again; each
+    leaves both generators where they were."""
+    states = (gen.gen_a.x, gen.gen_b.x)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=CAPPED_A):
+            gen.read(n, data)
+        assert (gen.gen_a.x, gen.gen_b.x) == states
 
 
 def assert_fused_reads_exact(key, orbits, n):
@@ -474,9 +495,11 @@ def assert_fused_reads_exact(key, orbits, n):
 
 def test_fused_read_matches_xor_on_a_capped_orbit(monkeypatch):
     # as in test_orbit_over_the_cap_stays_on_the_scalar_loop: a is capped,
-    # so it steps on alone, while b is served from its closed orbit
+    # so the fused reads are exact up to the last of a's 2**17 recorded
+    # words, from ORIGIN, and a fused read of the next byte raises
     monkeypatch.setattr(keystream, "TABLE_CAP", 1 << 17)
-    gen = assert_fused_reads_exact(SIM_KEY, [SIM_ORBIT_A, SIM_ORBIT_B], SIM_LONG)
+    gen = assert_fused_reads_exact(SIM_KEY, [SIM_ORBIT_A, SIM_ORBIT_B], ORIGIN + (1 << 17))
+    assert_read_refused(gen, 1, b"\x01")
     assert_capped_a_closed_b(gen._orbits)
 
 
@@ -530,20 +553,27 @@ def test_table_path_from_the_first_byte(monkeypatch):
 
 
 def test_orbit_over_the_cap_stays_on_the_scalar_loop(monkeypatch):
-    want = keystream_bytes(SIM_KEY, SIM_LONG)
-    # generator b closes within 2**17 words of the threshold; a does not, so
-    # a steps on alone
+    # Generator b closes within 2**17 words of the threshold; a does not. Its
+    # orbit is recorded from stream position 50,000, so every byte before
+    # 50,000 + 2**17 is served exactly, and any read past it raises, with or
+    # without allow_weak_mu.
+    edge = 50_000 + (1 << 17)
+    want = keystream_bytes(SIM_KEY, edge)
     monkeypatch.setattr(keystream, "TABLE_CAP", 1 << 17)
-    gen = KeystreamGenerator.from_key(SIM_KEY)
-    got = b"".join(gen.read(50_000) for _ in range(SIM_LONG // 50_000))
-    assert_capped_a_closed_b(gen._orbits)
-    assert got == want
-    assert gen.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, SIM_LONG)
-    assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, SIM_LONG)
+    for allow_weak_mu in (False, True):
+        gen = KeystreamGenerator.from_key(SIM_KEY, allow_weak_mu=allow_weak_mu)
+        got = b"".join(gen.read(50_000) for _ in range(3))
+        assert_read_refused(gen, 50_000)
+        got += gen.read(edge - 150_000)
+        assert got == want
+        assert gen.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, edge)
+        assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, edge)
+        assert_read_refused(gen, 1)
+        assert_capped_a_closed_b(gen._orbits)
 
 
 def test_capped_orbit_and_b_are_recorded_once(monkeypatch):
-    want = keystream_bytes(SIM_KEY, SIM_LONG)
+    want = keystream_bytes(SIM_KEY, 150_000)
     monkeypatch.setattr(keystream, "TABLE_CAP", 1 << 17)
     recorded = []
     cycle_blocks = keystream.cycle_blocks
@@ -553,10 +583,13 @@ def test_capped_orbit_and_b_are_recorded_once(monkeypatch):
         return cycle_blocks(x, mu, max_steps, words)
     monkeypatch.setattr(keystream, "cycle_blocks", counted)
     gen = KeystreamGenerator.from_key(SIM_KEY)
-    assert b"".join(gen.read(50_000) for _ in range(SIM_LONG // 50_000)) == want
+    assert b"".join(gen.read(50_000) for _ in range(3)) == want
+    # the next read needs a's word past the cap; a refused read records both
+    # orbits as far as it needs before it raises
+    assert_read_refused(gen, 50_000)
     # both orbits are recorded once, from the read that reached the
-    # threshold; a overran the cap and b closed, and no later read
-    # recorded either again
+    # threshold; a ran out at the cap and b closed, and no later read,
+    # refused or not, recorded either again
     assert recorded == [(advance(SIM_KEY.seed1, SIM_KEY.mu1, 50_000), SIM_KEY.mu1),
                         (advance(SIM_KEY.seed2, SIM_KEY.mu2, 50_000), SIM_KEY.mu2)]
     assert_capped_a_closed_b(gen._orbits)
@@ -595,10 +628,12 @@ SIM_ORBITS = [(SIM_KEY.seed1, SIM_KEY.mu1, *SIM_ORBIT_A),
 ], ids=["closing orbits", "a over the cap", "period 5736 and period 2"])
 def test_each_orbit_word_is_stepped_at_most_once(monkeypatch, orbits, cap):
     # Over random read splits, with iterate() on one generator or both
-    # between reads, each recorded orbit steps at most min(words served,
+    # between reads, each recorded orbit steps at most min(words reads need,
     # tail + period + isqrt(CYCLE_BLOCK)) + CYCLE_BLOCK words from its anchor, and
     # iterate() re-records only the orbit of the generator it moved. An
-    # orbit longer than TABLE_CAP steps at most words served + CYCLE_BLOCK.
+    # orbit longer than TABLE_CAP steps at most words needed + CYCLE_BLOCK,
+    # and TABLE_CAP in all; exactly the reads that need a word past those
+    # raise, and they serve nothing and move neither generator.
     if cap:
         monkeypatch.setattr(keystream, "TABLE_CAP", cap)
     block = prng.CYCLE_BLOCK
@@ -611,13 +646,15 @@ def test_each_orbit_word_is_stepped_at_most_once(monkeypatch, orbits, cap):
         stepped[gen.mu] += n
         return iterate(gen, n)
     monkeypatch.setattr(BernoulliGenerator, "iterate", counted)
+    refusals = 0
     for split in range(3):
         rng = random.Random(split)
         gen = KeystreamGenerator.from_key(key)
         gens = (gen.gen_a, gen.gen_b)
         twins = [BernoulliGenerator(key.seed1, key.mu1), BernoulliGenerator(key.seed2, key.mu2)]
         pos = [0, 0]  # steps from the seed
-        anchors = [None, None]  # [orbit, its tail + period, words served, words stepped]
+        # [its tail + period, words served, most words a read needed, words stepped]
+        anchors = [None, None]
         while pos[0] < SIM_LONG:
             moved = [rng.random() < 0.15 for _ in gens]
             for i in range(2):
@@ -628,9 +665,14 @@ def test_each_orbit_word_is_stepped_at_most_once(monkeypatch, orbits, cap):
                     pos[i] += k
             k = rng.choice([rng.randrange(1, 2000), rng.randrange(1, 3 * keystream._BLOCK)])
             before, old = dict(stepped), list(gen._orbits)
-            got = gen.read(k)
-            assert got == keystream._fold(*(array("I", iterate(t, k)) for t in twins))
+            try:
+                got = gen.read(k)
+            except ValueError:
+                got = None
+            else:
+                assert got == keystream._fold(*(array("I", iterate(t, k)) for t in twins))
             assert [g.x for g in gens] == [t.x for t in twins]
+            refused = False
             for i, (g, orbit, (_, _, tail, period)) in enumerate(zip(gens, gen._orbits, orbits)):
                 delta = stepped[g.mu] - before[g.mu]
                 if orbit is None:
@@ -638,40 +680,66 @@ def test_each_orbit_word_is_stepped_at_most_once(monkeypatch, orbits, cap):
                 else:
                     assert (orbit is old[i]) == (old[i] is not None and not moved[i])
                     if orbit is not old[i]:
-                        anchors[i] = [orbit, max(tail - pos[i], 0) + period, 0, 0]
+                        anchors[i] = [max(tail - pos[i], 0) + period, 0, 0, 0]
                     anchor = anchors[i]
-                    anchor[2] += k
+                    length, served = anchor[0], anchor[1]
+                    anchor[2] = needed = max(anchor[2], served + k)
                     anchor[3] += delta
-                    served, length = anchor[2], anchor[1]
                     if length > keystream.TABLE_CAP:
-                        length = served
-                    assert anchor[3] <= min(served, length + math.isqrt(block)) + block
-                pos[i] += k
+                        refused |= served + k > keystream.TABLE_CAP
+                        assert anchor[3] <= min(needed + block, keystream.TABLE_CAP)
+                    else:
+                        assert anchor[3] <= min(needed, length + math.isqrt(block)) + block
+                    if got is not None:
+                        anchor[1] += k
+                if got is not None:
+                    pos[i] += k
+            assert (got is None) == refused
+            refusals += refused
+    # only the orbit over the cap refuses reads, and the splits reach it
+    assert bool(refusals) == bool(cap)
 
 
-@pytest.mark.parametrize("hex_key, orbit_a, orbit_b, lcm", [
-    ("7311D8A385A6CECC1B8F", (5_742, 1_488), (73_273, 2_604), 10_416),
-    ("D7185DDA8165BD9ACBC8", (651, 32), (48_658, 4_560), 9_120),
+@pytest.mark.parametrize("hex_key, orbit_a, orbit_b, lcm, repeat_at", [
+    ("7311D8A385A6CECC1B8F", (5_742, 1_488), (73_273, 2_604), 10_416, 83_688),
+    ("D7185DDA8165BD9ACBC8", (651, 32), (48_658, 4_560), 9_120, 57_777),
 ])
-def test_short_period_keys_repeat_with_the_orbits_lcm(hex_key, orbit_a, orbit_b, lcm):
+def test_short_period_keys_repeat_with_the_orbits_lcm(hex_key, orbit_a, orbit_b, lcm, repeat_at):
     # Keys that default validation accepts although their keystream repeats
     # within a few KiB; allow_weak_mu keeps them readable once it does not.
     key = parse_key(hex_key, allow_weak_mu=True)
-    for (seed, mu), (tail, period) in (((key.seed1, key.mu1), orbit_a),
-                                       ((key.seed2, key.mu2), orbit_b)):
+    record = keystream.key_period(key)
+    assert record == (*orbit_a, *orbit_b, lcm, repeat_at)
+    for (seed, mu), (tail, period) in (((key.seed1, key.mu1), record[0:2]),
+                                       ((key.seed2, key.mu2), record[2:4])):
         result = analysis.cycle_length(seed, mu)
         assert (result.tail, result.period) == (tail, period)
         assert verify_cycle(seed, mu, tail, period) == []
-    assert math.lcm(orbit_a[1], orbit_b[1]) == lcm
-    # byte i comes from step i + 1, so the bytes repeat from the later tail - 1
-    start = max(orbit_a[0], orbit_b[0]) - 1
-    ks = keystream_bytes(key, start + 2 * lcm, allow_weak_mu=True)
+    assert math.lcm(record.period_a, record.period_b) == record.period
+    # from repeat_at on, and not before, each byte equals the one a period back
+    lcm, start = record.period, record.repeat_at - record.period
+    ks = keystream_bytes(key, record.repeat_at + lcm, allow_weak_mu=True)
     assert ks[start:-lcm] == ks[start + lcm:]
     assert ks[start - 1] != ks[start - 1 + lcm]
     # every proper divisor of lcm divides some lcm // p, p prime
     for p in prime_factors(lcm):
         d = lcm // p
         assert ks[start:-d] != ks[start + d:]
+
+
+def test_key_period_keeps_a_closure_margin_under_the_cap(monkeypatch):
+    # SIM_KEY's orbit a is the longer, at tail + period 247,539 words. The
+    # record needs CYCLE_BLOCK + isqrt(CYCLE_BLOCK) words beyond it, the
+    # most a closure oversteps, and at that cap a read from the seed closes.
+    fit = sum(SIM_ORBIT_A) + prng.CYCLE_BLOCK + 64
+    want = keystream_bytes(SIM_KEY, fit)
+    monkeypatch.setattr(keystream, "TABLE_CAP", fit - 1)
+    assert keystream.key_period(SIM_KEY) is None
+    monkeypatch.setattr(keystream, "TABLE_CAP", fit)
+    assert keystream.key_period(SIM_KEY)[:4] == (*SIM_ORBIT_A, *SIM_ORBIT_B)
+    gen = KeystreamGenerator.from_key(SIM_KEY)
+    assert gen.read(fit) == want
+    assert all(orbit.period for orbit in gen._orbits)
 
 
 def test_equivalent_and_slid_keys_give_one_keystream():
