@@ -60,7 +60,8 @@ def _fold(*arrays: array) -> bytes:
 
 
 class _Orbit:
-    """A generator's orbit from state x, stepped only as far as reads need.
+    """A generator's orbit from state x under mu, stepped only as far as
+    reads need.
 
     words[i] is the state i + 1 steps after x: prng.cycle_blocks appends
     them in CYCLE_BLOCK-word blocks, 4 bytes a step, and keeps one mark
@@ -73,13 +74,13 @@ class _Orbit:
     periods shorter than a window. An orbit records at most TABLE_CAP words.
     """
 
-    __slots__ = ("words", "seq", "tail", "period", "pos", "x", "_blocks")
+    __slots__ = ("words", "seq", "tail", "period", "pos", "x", "mu", "_blocks")
 
     def __init__(self, x: int, mu: int):
         self.words, self.seq = array("I"), bytearray()
         self.tail = self.period = None
         # words[pos] is the next word to serve, and x the state before it
-        self.pos, self.x = 0, x
+        self.pos, self.x, self.mu = 0, x, mu
         self._blocks = cycle_blocks(x, mu, TABLE_CAP, self.words)
 
     def record(self, n: int) -> bool:
@@ -158,7 +159,8 @@ class KeystreamGenerator:
         into an array('I') each by iterate() calls of at most CYCLE_BLOCK
         words; otherwise the XOR of both orbits' serve() ints, each
         recorded from the first word of the read that reaches the threshold,
-        or afresh from its generator's state if that moved (by iterate()).
+        or afresh from its generator's state if that moved (by iterate())
+        or its mu was assigned another value.
         Of k words served, an orbit steps at most min(k, tail + period +
         isqrt(CYCLE_BLOCK)) + CYCLE_BLOCK, as its closure steps less than
         tail + period + isqrt(CYCLE_BLOCK) + CYCLE_BLOCK words. Then both
@@ -176,7 +178,7 @@ class KeystreamGenerator:
         orbits = self._orbits
         if self._served >= TABLE_THRESHOLD:
             gens = (self.gen_a, self.gen_b)
-            orbits[:] = [o if o and o.x == g.x else _Orbit(g.x, g.mu)
+            orbits[:] = [o if o and (o.x, o.mu) == (g.x, g.mu) else _Orbit(g.x, g.mu)
                          for o, g in zip(orbits, gens)]
             unclosed = [g.mu for o, g in zip(orbits, gens) if not o.record(n)]
             if unclosed:

@@ -13,7 +13,8 @@ multiplier.
 from __future__ import annotations
 
 from array import array
-from itertools import islice, repeat
+from bisect import bisect_left
+from itertools import repeat
 from math import isqrt
 from operator import index
 
@@ -152,7 +153,7 @@ def step_lanes(x, mu):
 # keystream's recorded orbits, which take it from here alone. A closure
 # steps less than CYCLE_BLOCK + 2 * isqrt(CYCLE_BLOCK) words past tail +
 # period, so a smaller block oversteps less; each block costs about
-# 2 * isqrt(CYCLE_BLOCK) dict operations beside its steps.
+# 2 * isqrt(CYCLE_BLOCK) set operations beside its steps.
 CYCLE_BLOCK = 4096
 
 
@@ -164,14 +165,15 @@ def cycle_blocks(x: int, mu: int, max_steps: int, words: array):
 
     Let x_0 = x and x_i be the state i steps on. The orbit is stepped
     with BernoulliGenerator.iterate in blocks of CYCLE_BLOCK words. Let
-    S = isqrt(CYCLE_BLOCK). x_0 and every x_i with S | i are marks, kept
-    in one dict from word to index. A block ending at step E tests its
-    window, its last S words x_{E-S+1} .. x_E (all of it if the budget
-    cut it shorter), against the marks before the window, and only then
-    adds the window's own mark. The first window word x_p that equals a
-    mark x_q closes the search: x_q recurs at p > q, so it lies on the
-    cycle and the period divides p - q. The minimal period is the least
-    divisor t of p - q with x_{q+t} == x_q, found by trial division.
+    S = isqrt(CYCLE_BLOCK). x_0 and every x_i with S | i are marks, whose
+    words are kept in one set. A block ending at step E tests its window,
+    its last S words x_{E-S+1} .. x_E (all of it if the budget cut it
+    shorter), against the marks before the window, and only then adds the
+    window's own mark. The first window word x_p that is a mark's word
+    closes the search. Let x_q be the first mark with that word, found
+    among the kept words: x_q recurs at p > q, so it lies on the cycle and
+    the period divides p - q. The minimal period is the least divisor t
+    of p - q with x_{q+t} == x_q, found by trial division.
 
     A full window, ending at E, hits if period >= S and E >= tail +
     period + S - 1: it holds one p with p % S == period % S, whose mark
@@ -182,50 +184,43 @@ def cycle_blocks(x: int, mu: int, max_steps: int, words: array):
     CYCLE_BLOCK + 2S. When S divides CYCLE_BLOCK (as 64 divides 4096), a
     short period hits by the first block end S past the first mark m >=
     tail, so at most at m + CYCLE_BLOCK, and in both cases steps < tail +
-    period + CYCLE_BLOCK + S. The block before the closing one, ending at
-    base, had a full window and no hit, so base < tail + period + 2S - 1,
-    and x_s is off the cycle for s = base - 2S - period, if s > 0. So the
-    tail is 0 if x_0 == x_period, and otherwise the first t in
-    (max(s, 0), q] with x_t == x_{t + period}.
+    period + CYCLE_BLOCK + S. x_t == x_{t+period} is false for t < tail
+    and true from the tail on, and tail <= q, so the tail is found by
+    bisection over t in [0, q], in O(log q) reads of the kept words.
 
     Each block of words x_1, x_2, ... is appended to `words`, an
-    array('I'), before the generator yields, and the period and tail are
-    placed from those: memory grows by 4 bytes a step, plus one mark per
-    S steps.
+    array('I') that starts empty, before the generator yields, and the
+    period and tail are placed from those: memory grows by 4 bytes a
+    step, plus one mark's word per S steps.
 
     Every map evaluation counts against `max_steps`, so steps <=
     max_steps. When the budget runs out first, tail and period are None.
     """
     gen = BernoulliGenerator(x, mu)
-    x, marks, steps = gen.x, {gen.x: 0}, 0
+    x, marks, steps = gen.x, {gen.x}, 0
     S = isqrt(CYCLE_BLOCK)
     while steps < max_steps:
-        base = steps  # chunk holds x_{base+1} .. x_{steps}
+        first = -(steps + 1) % S  # chunk[first] is the block's first mark
         chunk = gen.iterate(min(CYCLE_BLOCK, max_steps - steps))
         steps += len(chunk)
         words.fromlist(chunk)
-        first = -(base + 1) % S  # chunk[first] is the block's first mark
         cut = max(len(chunk) - S, 0)  # the window is chunk[cut:]
-        marked = zip(chunk[first::S], range(base + 1 + first, steps + 1, S))
-        marks.update(islice(marked, len(range(first, cut, S))))
+        marks.update(chunk[first:cut:S])
         window = chunk[cut:]
-        if marks.keys().isdisjoint(window):
-            marks.update(marked)
+        if marks.isdisjoint(window):
+            marks.update(window[(first - cut) % S::S])
             del chunk, window  # a paused search keeps no block
             yield None
             continue
-        # words[i] is x_{i+1}
-        p, q = next((p, marks[w]) for p, w in enumerate(window, steps - len(window) + 1)
-                    if w in marks)
-        d, x_q = p - q, words[q - 1] if q else x
+        # the hit x_p = w, and x_q the first mark with word w; words[i] is x_{i+1}
+        w = next(w for w in window if w in marks)
+        q = 0 if w == x else S * (words[S - 1::S].index(w) + 1)
+        d = steps - len(window) + 1 + window.index(w) - q  # p - q
         small = [t for t in range(1, isqrt(d) + 1) if d % t == 0]
         period = next(t for t in small + [d // t for t in reversed(small)]
-                      if words[q + t - 1] == x_q)
-        tail = 0
-        if x != words[period - 1]:
-            s = max(base - 2 * S - period, 0)
-            pairs = zip(words[s:q], words[s + period:q + period])
-            tail = s + 1 + next(i for i, (a, b) in enumerate(pairs) if a == b)
+                      if words[q + t - 1] == w)
+        tail = bisect_left(range(q), True,
+                           key=lambda t: (words[t - 1] if t else x) == words[t + period - 1])
         yield tail, period, steps
         return
     yield None, None, steps

@@ -261,6 +261,20 @@ class TestKeystreamGenerator:
         assert gen.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, n)
         assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, n)
 
+    @pytest.mark.parametrize("head", [1000, TABLE_THRESHOLD])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_an_assigned_mu_steps_the_next_read(self, head, which):
+        # below the threshold and on recorded orbits alike, the next read
+        # steps a generator under the mu assigned to it, from its state
+        gen = KeystreamGenerator(BernoulliGenerator(0xAAAAAAAA, 170),
+                                 BernoulliGenerator(0xBBBBBBBB, 187))
+        gen.read(head)
+        gens = (gen.gen_a, gen.gen_b)
+        gens[which].mu = 200
+        fresh = KeystreamGenerator(*(BernoulliGenerator(g.x, g.mu) for g in gens))
+        assert gen.read(1000) == fresh.read(1000)
+        assert (gen.gen_a.x, gen.gen_b.x) == (fresh.gen_a.x, fresh.gen_b.x)
+
     def test_short_reads_build_no_table(self, monkeypatch):
         # short reads that stay one byte below the threshold, the last one partial
         sizes = [4096] * (TABLE_THRESHOLD // 4096 - 1) + [4095]
@@ -494,7 +508,7 @@ def assert_fused_reads_exact(key, orbits, n):
 
 
 def test_fused_read_matches_xor_on_a_capped_orbit(monkeypatch):
-    # as in test_orbit_over_the_cap_stays_on_the_scalar_loop: a is capped,
+    # as in test_read_past_an_unclosed_orbit_raises: a is capped,
     # so the fused reads are exact up to the last of a's 2**17 recorded
     # words, from ORIGIN, and a fused read of the next byte raises
     monkeypatch.setattr(keystream, "TABLE_CAP", 1 << 17)
@@ -552,7 +566,7 @@ def test_table_path_from_the_first_byte(monkeypatch):
     assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, 5000)
 
 
-def test_orbit_over_the_cap_stays_on_the_scalar_loop(monkeypatch):
+def test_read_past_an_unclosed_orbit_raises(monkeypatch):
     # Generator b closes within 2**17 words of the threshold; a does not. Its
     # orbit is recorded from stream position 50,000, so every byte before
     # 50,000 + 2**17 is served exactly, and any read past it raises, with or
