@@ -8,7 +8,7 @@ seed1(8) || mu1(2) || seed2(8) || mu2(2), big-endian fields.
 Fewer bits reach the keystream. A step discards each seed's top bit,
 and swapping the two generators leaves their XOR as it is, so about
 2^77.97 accepted keys give at most 2^74.97 distinct keystreams (see
-README "Key format").
+README "Key format"); CipherKey.canonical() names one key of each class.
 
 There is no nonce, authentication, or key schedule: reusing a key across
 messages leaks the XOR of the plaintexts. The slid key (step(seed1),
@@ -110,6 +110,17 @@ class CipherKey(_KeyFields):
             raise WeakMuError(
                 f"weak key: equal feedback factors (mu1 = mu2 = {self.mu1}) let both "
                 "orbits fall onto the same few cycles, so the keystream repeats early")
+
+    def canonical(self) -> CipherKey:
+        """The one key of this key's class that gives the same keystream:
+        both seeds' top bits cleared, since a step discards them, and the
+        generators ordered by (mu, seed), since their XOR commutes. All 8
+        variants of a key give one canonical key, and canonical() of it is
+        itself. Validation accepts it exactly when it accepts this key.
+        """
+        (mu1, seed1), (mu2, seed2) = sorted([(self.mu1, self.seed1 & 0x7FFFFFFF),
+                                             (self.mu2, self.seed2 & 0x7FFFFFFF)])
+        return CipherKey(seed1, mu1, seed2, mu2)
 
     def to_hex(self) -> str:
         return f"{self.seed1:08X}{self.mu1:02X}{self.seed2:08X}{self.mu2:02X}"

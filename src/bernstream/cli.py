@@ -13,14 +13,15 @@ import os
 import sys
 from contextlib import contextmanager
 
-# Nothing imported here may import numpy, so that keygen, keystream,
-# encrypt, decrypt and cycle run without it; `test` and `bifurcate` load
-# it when they run.
-from .analysis import (DEFAULT_MAX_STEPS, DEFAULT_SAMPLES, DEFAULT_TRANSIENT,
-                       bifurcation_scan, cycle_length, write_bifurcation_csv)
-from .cipher import (DEFAULT_CHUNK_SIZE, DegenerateKeyError, encrypt_stream,
-                     generate_key, parse_key)
-from .keystream import KeystreamGenerator
+# The rule for imports: this module imports no bernstream module at module
+# level, and each cmd_* function imports what it runs. Every command is a
+# fresh process that compiles and runs what it imports, so `cycle` and
+# `bifurcate` load analysis and prng only; keygen, keystream, encrypt and
+# decrypt load cipher, keystream and prng only; and `test` loads stats only.
+# Option defaults that are library constants are therefore None here and
+# read when the command runs; their --help text states the constant.
+# numpy stays off the cipher commands and `cycle`; `test` and `bifurcate`
+# load it when they run.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,6 +71,8 @@ def _add_key_args(sub):
 
 
 def _load_key(args):
+    from .cipher import parse_key
+
     if args.key is not None:
         text = args.key
     else:
@@ -120,12 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="orbit start value (default: 2863311530)")
     p.add_argument("--section", type=_int_arg, default=1, choices=(1, 2, 3, 4),
                    help="byte section to record, 1 = most significant")
-    p.add_argument("--transient", type=_int_arg, default=DEFAULT_TRANSIENT,
-                   metavar="N", help=f"outputs discarded per mu "
-                   f"(default: {DEFAULT_TRANSIENT})")
-    p.add_argument("--samples", type=_int_arg, default=DEFAULT_SAMPLES,
-                   metavar="N", help=f"outputs recorded per mu "
-                   f"(default: {DEFAULT_SAMPLES})")
+    p.add_argument("--transient", type=_int_arg, default=None, metavar="N",
+                   help="outputs discarded per mu (default: 1000)")
+    p.add_argument("--samples", type=_int_arg, default=None, metavar="N",
+                   help="outputs recorded per mu (default: 200)")
     p.add_argument("--out", default="-", metavar="PATH|-",
                    help="CSV output (default: stdout)")
     p.set_defaults(func=cmd_bifurcate)
@@ -133,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cycle", help="measure orbit tail and period")
     p.add_argument("--seed", type=_int_arg, required=True, metavar="X0")
     p.add_argument("--mu", type=_int_arg, required=True, metavar="MU")
-    p.add_argument("--max-steps", type=_int_arg, default=DEFAULT_MAX_STEPS,
-                   metavar="N", help=f"step budget (default: {DEFAULT_MAX_STEPS})")
+    p.add_argument("--max-steps", type=_int_arg, default=None, metavar="N",
+                   help="step budget (default: 10000000)")
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_cycle)
 
@@ -142,6 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_keygen(args) -> int:
+    from .cipher import generate_key
+
     print(generate_key().to_hex())
     return EXIT_OK
 
@@ -159,6 +162,9 @@ def _refuse_as_out(out: str, *inputs: tuple[str, str | None]) -> None:
 
 
 def cmd_keystream(args) -> int:
+    from .cipher import DEFAULT_CHUNK_SIZE
+    from .keystream import KeystreamGenerator
+
     if args.bytes < 0:
         raise ValueError("--bytes must be >= 0")
     _refuse_as_out(args.out, ("--key-file", args.key_file))
@@ -171,6 +177,8 @@ def cmd_keystream(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
+    from .cipher import encrypt_stream
+
     _refuse_as_out(args.out, ("--in", args.infile), ("--key-file", args.key_file))
     key = _load_key(args)
     with _open(args.infile, "rb") as src, _open(args.out, "wb") as dst:
@@ -199,8 +207,13 @@ def cmd_test(args) -> int:
 
 
 def cmd_bifurcate(args) -> int:
+    from .analysis import (DEFAULT_SAMPLES, DEFAULT_TRANSIENT, bifurcation_scan,
+                           write_bifurcation_csv)
+
+    transient = DEFAULT_TRANSIENT if args.transient is None else args.transient
+    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     values = bifurcation_scan(args.mu_min, args.mu_max, args.seed,
-                              transient=args.transient, samples=args.samples,
+                              transient=transient, samples=samples,
                               section=args.section)
     with _open(args.out, "w") as dst:
         write_bifurcation_csv(values, args.mu_min, args.section, dst)
@@ -208,7 +221,10 @@ def cmd_bifurcate(args) -> int:
 
 
 def cmd_cycle(args) -> int:
-    result = cycle_length(args.seed, args.mu, max_steps=args.max_steps)
+    from .analysis import DEFAULT_MAX_STEPS, cycle_length
+
+    max_steps = DEFAULT_MAX_STEPS if args.max_steps is None else args.max_steps
+    result = cycle_length(args.seed, args.mu, max_steps=max_steps)
     if args.report == "json":
         import json
 
@@ -233,12 +249,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except DegenerateKeyError as exc:
-        print(f"bernstream: error: {exc}", file=sys.stderr)
-        return EXIT_BAD_KEY
     except ValueError as exc:  # KeyFormatError among them
+        # a DegenerateKeyError exists only once cipher is loaded, so look
+        # for its class there rather than load cipher for every command
+        cipher = sys.modules.get(f"{__package__}.cipher")
+        bad_key = cipher is not None and isinstance(exc, cipher.DegenerateKeyError)
         print(f"bernstream: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_BAD_KEY if bad_key else EXIT_USAGE
     except BrokenPipeError:
         # keep the interpreter's shutdown flush off the dead pipe
         devnull = os.open(os.devnull, os.O_WRONLY)

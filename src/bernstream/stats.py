@@ -114,6 +114,11 @@ def frequency_test(bits) -> TestReport:
     return _report("frequency", s_obs, p, {"n": n, "partial_sum": s_n})
 
 
+def _check_block_size(block_size: int) -> None:
+    if block_size < 1:
+        raise ValueError(f"block size must be >= 1: {block_size!r}")
+
+
 def block_frequency_test(bits, block_size: int = DEFAULT_BLOCK_SIZE) -> TestReport:
     """Per-block balance: chi2 = 4M * sum((pi_i - 1/2)^2), P = igamc(N/2, chi2/2).
 
@@ -122,8 +127,7 @@ def block_frequency_test(bits, block_size: int = DEFAULT_BLOCK_SIZE) -> TestRepo
     """
     arr = as_bits(bits)
     n = arr.size
-    if block_size < 1:
-        raise ValueError(f"block size must be >= 1: {block_size!r}")
+    _check_block_size(block_size)
     if block_size > n:
         raise ValueError(
             f"block size {block_size} exceeds sequence length {n}")
@@ -480,22 +484,23 @@ def run_suite(data, block_size: int = DEFAULT_BLOCK_SIZE) -> list[TestReport]:
     """Run all six tests on a byte sequence, in fixed order.
 
     Requires at least 13 bytes (>= 104 bits); an integer is refused with
-    TypeError rather than read as that many zero bytes. If the requested
-    block size exceeds the bit length it is clamped so short samples stay
-    testable. The spectral test runs first, on the packed bytes, and the
-    one uint8 per bit that the other five tests read is built after it,
-    so peak memory beside the input is the spectral test's rows and a few
-    of its blocks: about 33 B per input byte (4 B per bit), and 1 B more
-    for an odd byte count, whose bits it packs again as rows (fft_test
-    names the exception). Every other test works in place, in fixed-size
-    slices or on counts per block of bits, and both cumulative-sums
-    reports share one walk.
+    TypeError rather than read as that many zero bytes. A block size below
+    1 is refused before any test runs; one that exceeds the bit length is
+    clamped so short samples stay testable. The spectral test runs first,
+    on the packed bytes, and the one uint8 per bit that the other five
+    tests read is built after it, so peak memory beside the input is the
+    spectral test's rows and a few of its blocks: about 33 B per input
+    byte (4 B per bit), and 1 B more for an odd byte count, whose bits it
+    packs again as rows (fft_test names the exception). Every other test
+    works in place, in fixed-size slices or on counts per block of bits,
+    and both cumulative-sums reports share one walk.
     """
     _refuse_int(data)
     buf = bytes(data)
     if len(buf) < MIN_SUITE_BYTES:
         raise ValueError(
             f"need at least {MIN_SUITE_BYTES} bytes, got {len(buf)}")
+    _check_block_size(block_size)
     spectral = fft_test(buf)
     bits = bits_from_bytes(buf)
     m = min(block_size, bits.size)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from bernstream import cipher, keystream
 from bernstream.analysis import cycle_length
-from bernstream.cipher import (PERIOD_FLOOR, CipherIOError, CipherKey, DegenerateKeyError,
-                               KeyFormatError, WeakMuError, decrypt_bytes,
+from bernstream.cipher import (MU_MIN_STRONG, PERIOD_FLOOR, CipherIOError, CipherKey,
+                               DegenerateKeyError, KeyFormatError, WeakMuError, decrypt_bytes,
                                decrypt_stream, encrypt_bytes, encrypt_stream,
                                generate_key, parse_key)
 from bernstream.keystream import TABLE_THRESHOLD, KeyPeriod, KeystreamGenerator, keystream_bytes
@@ -545,6 +545,55 @@ def keys_near_the_degenerate_class(draw):
     seed2 = draw(st.sampled_from([seed1, seed1 ^ 2**31]) | seeds)
     mu2 = draw(st.just(mu1) | factors)
     return CipherKey(seed1=seed1, mu1=mu1, seed2=seed2, mu2=mu2)
+
+
+def variants(key):
+    """The 8 keys that differ from key in either seed's top bit or in the
+    order of the two generators; each gives key's keystream."""
+    keys = []
+    for flip1 in (0, 1 << 31):
+        for flip2 in (0, 1 << 31):
+            a, b = (key.seed1 ^ flip1, key.mu1), (key.seed2 ^ flip2, key.mu2)
+            keys += [CipherKey(*a, *b), CipherKey(*b, *a)]
+    return keys
+
+
+def refusal(key, allow_weak_mu):
+    try:
+        key.validate(allow_weak_mu=allow_weak_mu)
+    except DegenerateKeyError as exc:
+        return type(exc)
+    return None
+
+
+def test_canonical_key_of_the_readme_example():
+    key = parse_key("F4271242D67D883F82A5")
+    assert len(set(variants(key))) == 8
+    assert key.canonical() == parse_key("7D883F82A574271242D6")
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys_near_the_degenerate_class())
+def test_every_variant_of_a_key_has_one_canonical_key(key):
+    canon = key.canonical()
+    assert {k.canonical() for k in variants(key)} == {canon}
+    assert canon in variants(key)
+    assert canon.canonical() == canon
+    assert max(canon.seed1, canon.seed2) < 1 << 31
+    assert (canon.mu1, canon.seed1) <= (canon.mu2, canon.seed2)
+    for allow_weak_mu in (False, True):
+        assert refusal(canon, allow_weak_mu) is refusal(key, allow_weak_mu)
+
+
+@settings(max_examples=4, deadline=None)
+@given(seeds, seeds, st.lists(st.integers(MU_MIN_STRONG, 255), min_size=2, max_size=2,
+                              unique=True))
+def test_every_variant_of_a_key_gives_the_canonical_keystream(seed1, seed2, mus):
+    key = CipherKey(seed1, mus[0], seed2, mus[1])
+    n = TABLE_THRESHOLD + 4096
+    want = keystream_bytes(key.canonical(), n)
+    for variant in variants(key):
+        assert keystream_bytes(variant, n) == want
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,11 +1,13 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
 import pytest
 
+from bernstream import analysis, stats
 from bernstream.cipher import DEFAULT_CHUNK_SIZE, parse_key
 from bernstream.keystream import keystream_bytes
 from bernstream.stats import DEFAULT_BLOCK_SIZE
@@ -251,6 +253,18 @@ class TestTestCommand:
         block = next(r for r in reports if r["test"] == "block_frequency")
         assert block["params"]["block_size"] == DEFAULT_BLOCK_SIZE
 
+    def test_block_size_below_1_exits_1_before_any_test(self, passing_sample, monkeypatch,
+                                                        capsys):
+        def refused(*args, **kwargs):
+            raise AssertionError("a test ran before the block size was checked")
+
+        monkeypatch.setattr(stats, "fft_test", refused)
+        rc = main(["test", "--in", str(passing_sample), "--block-size", "-5"])
+        assert rc == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.err == "bernstream: error: block size must be >= 1: -5\n"
+        assert out.out == ""
+
     def test_reads_stdin_in_real_process(self, passing_sample):
         proc = subprocess.run(
             [sys.executable, "-m", "bernstream", "test", "--report", "json"],
@@ -275,6 +289,33 @@ class TestTestCommand:
         small = tmp_path / "small.bin"
         small.write_bytes(b"123")
         assert main(["test", "--in", str(small)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, option, constant", [
+    (["bifurcate", "--mu-min", "250", "--mu-max", "251"], "--transient",
+     analysis.DEFAULT_TRANSIENT),
+    (["bifurcate", "--mu-min", "250", "--mu-max", "251"], "--samples",
+     analysis.DEFAULT_SAMPLES),
+    (["cycle", "--seed", "0x80000000", "--mu", "170"], "--max-steps",
+     analysis.DEFAULT_MAX_STEPS),
+    (["test", "--in", "{sample}"], "--block-size", DEFAULT_BLOCK_SIZE),
+], ids=["transient", "samples", "max-steps", "block-size"])
+def test_help_states_the_library_default(argv, option, constant, tmp_path, capsys):
+    # the parser states these defaults as literals, so that a command does
+    # not import the module that defines them until it runs
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    stated = re.search(rf"{option} [A-Z]+ [^()]*\(default: (\d+)\)", help_text)
+    assert stated and int(stated[1]) == constant, help_text
+    sample = tmp_path / "sample.bin"
+    sample.write_bytes(keystream_bytes(parse_key(SIM_KEY_HEX), 20000))
+    argv = [arg.format(sample=sample) for arg in argv]
+    runs = []
+    for args in (argv, argv + [option, str(constant)]):
+        runs.append((main(args), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == EXIT_OK and runs[0][1].out
 
 
 def test_bifurcate_csv_output(capsys):

@@ -105,6 +105,40 @@ def test_cycle_and_encrypt_leave_heavy_modules_unloaded(tmp_path):
     assert (tmp_path / "cipher.bin").stat().st_size == TABLE_THRESHOLD + 1000
 
 
+ORBIT_MODULES = ["analysis", "prng"]
+CIPHER_MODULES = ["cipher", "keystream", "prng"]
+COMMAND_MODULES = [
+    (["cycle", "--seed", "0x80000000", "--mu", "170", "--report", "json"], ORBIT_MODULES),
+    (["bifurcate", "--mu-min", "250", "--mu-max", "255", "--out", "{out}"], ORBIT_MODULES),
+    (["keygen"], CIPHER_MODULES),
+    (["keystream", "--key", "{key}", "--bytes", "70000", "--out", "{out}"], CIPHER_MODULES),
+    (["encrypt", "--key", "{key}", "--in", "{plain}", "--out", "{out}"], CIPHER_MODULES),
+    (["decrypt", "--key", "{key}", "--in", "{plain}", "--out", "{out}"], CIPHER_MODULES),
+    (["test", "--in", "{plain}", "--report", "json"], ["special", "stats"]),
+]
+
+
+@pytest.mark.parametrize("argv, modules", COMMAND_MODULES,
+                         ids=[argv[0] for argv, _ in COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(argv, modules, tmp_path):
+    # every command is a fresh process that compiles what it imports, so a
+    # module it does not run is start-up time wasted
+    plain = tmp_path / "plain.bin"
+    plain.write_bytes(random.Random(0x10AD).randbytes(TABLE_THRESHOLD + 1000))
+    argv = [arg.format(key="0123456789ABCDEF12C3", plain=plain, out=tmp_path / "out")
+            for arg in argv]
+    code = "\n".join([
+        "import sys",
+        "from bernstream.cli import main",
+        f"assert main({argv!r}) == 0",
+        "print(sorted(m for m in sys.modules if m.startswith('bernstream.')))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = sorted(f"bernstream.{m}" for m in ["cli", *modules])
+    assert proc.stdout.splitlines()[-1] == str(loaded)
+
+
 @pytest.mark.parametrize("record, fields, other", [
     (CipherKey, {"seed1": 0xAAAAAAAA, "mu1": 0xAA, "seed2": 0xBBBBBBBB, "mu2": 0xBB},
      (0xAAAAAAAA, 0xAA, 0xBBBBBBBB, 0xBC)),

@@ -648,6 +648,16 @@ class TestRunSuite:
         assert verdicts["frequency"]          # perfectly balanced
         assert not verdicts["runs"]           # oscillates every bit
 
+    @pytest.mark.parametrize("block_size", [0, -5])
+    def test_refuses_a_block_size_below_1_before_any_test(self, block_size, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a test ran before the block size was checked")
+
+        for name in ("fft_test", "bits_from_bytes", "frequency_test"):
+            monkeypatch.setattr(stats, name, refused)
+        with pytest.raises(ValueError, match=f"block size must be >= 1: {block_size}"):
+            run_suite(bytes(range(256)) * 4, block_size=block_size)
+
     def test_block_size_clamped_for_short_samples(self):
         reports = _quiet(run_suite, b"\xaa" * 13, block_size=128)
         block = next(r for r in reports if r.test == "block_frequency")
