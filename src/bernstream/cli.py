@@ -18,10 +18,9 @@ from contextlib import contextmanager
 # fresh process that compiles and runs what it imports, so `cycle` and
 # `bifurcate` load analysis and prng only; keygen, keystream, encrypt and
 # decrypt load cipher, keystream and prng only; and `test` loads stats only.
-# Option defaults that are library constants are therefore None here and
-# read when the command runs; their --help text states the constant.
-# numpy stays off the cipher commands and `cycle`; `test` and `bifurcate`
-# load it when they run.
+# So the parser states library defaults as literals; tests tie each to its
+# constant. numpy stays off the cipher commands and `cycle`; `test` and
+# `bifurcate` load it when they run.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -29,13 +28,9 @@ EXIT_BAD_KEY = 2
 EXIT_IO = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _int_arg(text: str) -> int:
@@ -112,21 +107,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="input file (default: stdin)")
     p.add_argument("--report", choices=("text", "json"), default="text",
                    help="report format (default: text)")
-    p.add_argument("--block-size", type=_int_arg, default=None, metavar="M",
-                   help="block frequency block size (default: 128)")
+    p.add_argument("--block-size", type=_int_arg, default=128, metavar="M",
+                   help="block frequency block size (default: %(default)s)")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("bifurcate", help="emit bifurcation-diagram CSV data")
     p.add_argument("--mu-min", type=_int_arg, default=0, metavar="MU")
     p.add_argument("--mu-max", type=_int_arg, default=255, metavar="MU")
     p.add_argument("--seed", type=_int_arg, default=0xAAAAAAAA, metavar="X0",
-                   help="orbit start value (default: 2863311530)")
+                   help="orbit start value (default: %(default)s)")
     p.add_argument("--section", type=_int_arg, default=1, choices=(1, 2, 3, 4),
                    help="byte section to record, 1 = most significant")
-    p.add_argument("--transient", type=_int_arg, default=None, metavar="N",
-                   help="outputs discarded per mu (default: 1000)")
-    p.add_argument("--samples", type=_int_arg, default=None, metavar="N",
-                   help="outputs recorded per mu (default: 200)")
+    p.add_argument("--transient", type=_int_arg, default=1000, metavar="N",
+                   help="outputs discarded per mu (default: %(default)s)")
+    p.add_argument("--samples", type=_int_arg, default=200, metavar="N",
+                   help="outputs recorded per mu (default: %(default)s)")
     p.add_argument("--out", default="-", metavar="PATH|-",
                    help="CSV output (default: stdout)")
     p.set_defaults(func=cmd_bifurcate)
@@ -134,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cycle", help="measure orbit tail and period")
     p.add_argument("--seed", type=_int_arg, required=True, metavar="X0")
     p.add_argument("--mu", type=_int_arg, required=True, metavar="MU")
-    p.add_argument("--max-steps", type=_int_arg, default=None, metavar="N",
-                   help="step budget (default: 10000000)")
+    p.add_argument("--max-steps", type=_int_arg, default=10_000_000, metavar="N",
+                   help="step budget (default: %(default)s)")
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_cycle)
 
@@ -187,12 +182,11 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_test(args) -> int:
-    from .stats import DEFAULT_BLOCK_SIZE, run_suite
+    from .stats import run_suite
 
     with _open(args.infile, "rb") as src:
         data = src.read()
-    block_size = DEFAULT_BLOCK_SIZE if args.block_size is None else args.block_size
-    reports = run_suite(data, block_size=block_size)
+    reports = run_suite(data, block_size=args.block_size)
     if args.report == "json":
         import json  # here, not at module level: only JSON reports need it
 
@@ -207,13 +201,10 @@ def cmd_test(args) -> int:
 
 
 def cmd_bifurcate(args) -> int:
-    from .analysis import (DEFAULT_SAMPLES, DEFAULT_TRANSIENT, bifurcation_scan,
-                           write_bifurcation_csv)
+    from .analysis import bifurcation_scan, write_bifurcation_csv
 
-    transient = DEFAULT_TRANSIENT if args.transient is None else args.transient
-    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     values = bifurcation_scan(args.mu_min, args.mu_max, args.seed,
-                              transient=transient, samples=samples,
+                              transient=args.transient, samples=args.samples,
                               section=args.section)
     with _open(args.out, "w") as dst:
         write_bifurcation_csv(values, args.mu_min, args.section, dst)
@@ -221,16 +212,13 @@ def cmd_bifurcate(args) -> int:
 
 
 def cmd_cycle(args) -> int:
-    from .analysis import DEFAULT_MAX_STEPS, cycle_length
+    from .analysis import cycle_length
 
-    max_steps = DEFAULT_MAX_STEPS if args.max_steps is None else args.max_steps
-    result = cycle_length(args.seed, args.mu, max_steps=max_steps)
+    result = cycle_length(args.seed, args.mu, max_steps=args.max_steps)
     if args.report == "json":
         import json
 
-        print(json.dumps({"found": result.found, "tail": result.tail,
-                          "period": result.period,
-                          "steps_examined": result.steps_examined}))
+        print(json.dumps({"found": result.found, **result._asdict()}))
     elif result.found:
         print(f"tail={result.tail} period={result.period} "
               f"steps_examined={result.steps_examined}")
@@ -241,15 +229,10 @@ def cmd_cycle(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"bernstream: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValueError as exc:  # KeyFormatError among them
+    except ValueError as exc:  # usage errors and KeyFormatError among them
         # a DegenerateKeyError exists only once cipher is loaded, so look
         # for its class there rather than load cipher for every command
         cipher = sys.modules.get(f"{__package__}.cipher")

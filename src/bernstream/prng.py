@@ -152,7 +152,10 @@ def step_lanes(x, mu):
 # Words per block of cycle_blocks, for analysis.cycle_length and the
 # keystream's recorded orbits, which take it from here alone. A closure
 # steps less than CYCLE_BLOCK + 2 * isqrt(CYCLE_BLOCK) words past tail +
-# period, so a smaller block oversteps less; each block costs about
+# period, and less than CYCLE_BLOCK + isqrt(CYCLE_BLOCK) when
+# isqrt(CYCLE_BLOCK) divides CYCLE_BLOCK, as 64 divides 4096. The margin of
+# keystream.key_period, and so every key generate_key returns, relies on
+# that condition. A smaller block oversteps less; each block costs about
 # 2 * isqrt(CYCLE_BLOCK) set operations beside its steps.
 CYCLE_BLOCK = 4096
 

@@ -745,6 +745,10 @@ def test_key_period_keeps_a_closure_margin_under_the_cap(monkeypatch):
     # SIM_KEY's orbit a is the longer, at tail + period 247,539 words. The
     # record needs CYCLE_BLOCK + isqrt(CYCLE_BLOCK) words beyond it, the
     # most a closure oversteps, and at that cap a read from the seed closes.
+    # cycle_blocks proves that bound only when isqrt(CYCLE_BLOCK) divides
+    # CYCLE_BLOCK; without it, generate_key could return a key whose reads
+    # read() refuses.
+    assert prng.CYCLE_BLOCK % math.isqrt(prng.CYCLE_BLOCK) == 0
     fit = sum(SIM_ORBIT_A) + prng.CYCLE_BLOCK + 64
     want = keystream_bytes(SIM_KEY, fit)
     monkeypatch.setattr(keystream, "TABLE_CAP", fit - 1)

@@ -139,6 +139,29 @@ def test_each_command_loads_only_the_modules_it_runs(argv, modules, tmp_path):
     assert proc.stdout.splitlines()[-1] == str(loaded)
 
 
+HELP_ARGVS = [["--help"], *([argv[0], "--help"] for argv, _ in COMMAND_MODULES)]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=[" ".join(argv) for argv in HELP_ARGVS])
+def test_help_loads_only_the_cli(argv):
+    # the parser states each library default as a literal, so building it
+    # imports no library module
+    code = "\n".join([
+        "import sys",
+        "from bernstream.cli import main",
+        "try:",
+        f"    main({argv!r})",
+        "except SystemExit as exc:",
+        "    assert exc.code == 0, exc.code",
+        "else:",
+        "    raise AssertionError('--help did not exit')",
+        "print(sorted(m for m in sys.modules if m.startswith('bernstream.')))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['bernstream.cli']"
+
+
 @pytest.mark.parametrize("record, fields, other", [
     (CipherKey, {"seed1": 0xAAAAAAAA, "mu1": 0xAA, "seed2": 0xBBBBBBBB, "mu2": 0xBB},
      (0xAAAAAAAA, 0xAA, 0xBBBBBBBB, 0xBC)),

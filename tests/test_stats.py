@@ -616,26 +616,14 @@ class TestRunSuite:
         assert walk.call_count == 1
         assert reports[3:5] == [cusum_test(bits, "forward"), cusum_test(bits, "reverse")]
 
-    def test_peak_is_the_half_spectrum_without_a_byte_per_bit(self):
-        # the spectral test reads the packed input and runs before the bits
-        # are expanded, so the one uint8 per bit (1 B per bit) never sits
-        # beside the rows of its pass (4 B per bit)
-        data = random.Random(0x512).randbytes(512 * 1024)
-        tracemalloc.start()
-        try:
-            reports = run_suite(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(reports) == 6
-        assert peak < 4 * 8 * len(data) + 3 * stats._FFT_BLOCK_BYTES
-
     def test_peak_is_a_quarter_spectrum_when_the_column_length_is_even(self):
-        # 512 KiB split as (2048, 2048): the spectral test holds one pass's
-        # rows, 4 B per bit, and the battery's byte per bit comes after it
+        # 512 KiB split as (2048, 2048): the spectral test reads the packed
+        # input and holds one pass's rows, 4 B per bit, and runs before the
+        # bits are expanded, so the battery's uint8 per bit comes after it
         data = random.Random(0x513).randbytes(512 * 1024)
         assert stats._split(8 * len(data)) == (2048, 2048)
         reports, peak = _traced_peak(run_suite, data)
+        assert len(reports) == 6
         assert reports[-1] == _spectral_oracle(bits_from_bytes(data))
         assert peak < 4 * 8 * len(data) + 3 * stats._FFT_BLOCK_BYTES
 
