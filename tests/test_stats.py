@@ -616,6 +616,29 @@ class TestRunSuite:
         assert walk.call_count == 1
         assert reports[3:5] == [cusum_test(bits, "forward"), cusum_test(bits, "reverse")]
 
+    def test_peak_is_the_half_spectrum_without_a_byte_per_bit(self):
+        # the spectral test reads the packed input and returns before the
+        # bits are expanded, so the one uint8 per bit never sits beside the
+        # rows of its pass; the peak this allows is bounded in the test below
+        data = random.Random(0x512).randbytes(4096)
+        calls = []
+
+        def spectral(buf):
+            calls.append(("fft_test", type(buf), len(buf)))
+            return fft_test(buf)
+
+        def expand(buf):
+            calls.append(("bits_from_bytes", type(buf), len(buf)))
+            return bits_from_bytes(buf)
+
+        with mock.patch.object(stats, "fft_test", spectral), \
+                mock.patch.object(stats, "bits_from_bytes", expand):
+            reports = run_suite(data)
+        assert calls == [("fft_test", bytes, len(data)),
+                         ("bits_from_bytes", bytes, len(data))]
+        assert len(reports) == 6
+        assert reports[-1] == fft_test(data)
+
     def test_peak_is_a_quarter_spectrum_when_the_column_length_is_even(self):
         # 512 KiB split as (2048, 2048): the spectral test reads the packed
         # input and holds one pass's rows, 4 B per bit, and runs before the
