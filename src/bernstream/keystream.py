@@ -6,17 +6,23 @@ eight sections coming from two generators advanced in lockstep -- the
 software equivalent of a 56-gate XOR array, 7 gates per output bit.
 
 As in that datapath, nothing grows with the message: words are stepped
-and folded at most prng.CYCLE_BLOCK (4,096) at a time, and a read's
-output is built in windows of 64 KiB.
+one by one and folded at most prng.CYCLE_BLOCK (4,096) at a time, a
+tabulated cycle's lanes are unpacked 64 steps at a time, and a read's
+output is built in windows of 64 KiB. What grows is each generator's
+orbit record, up to its tail + period words (see _Orbit).
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
+from binascii import a2b_base64
+from bisect import bisect_left
 from math import isqrt, lcm
+from operator import index
 from typing import NamedTuple
 
-from .prng import CYCLE_BLOCK, BernoulliGenerator, cycle_blocks
+from .prng import CYCLE_BLOCK, BernoulliGenerator, cycle_blocks, iterate_lanes
 
 
 # read() steps both generators with iterate() until a read reaches
@@ -59,6 +65,28 @@ def _fold(*arrays: array) -> bytes:
     return m.to_bytes(4 * len(words), "little")[::4]
 
 
+def _tabulated(mu: int) -> dict:
+    """The marks of mu's cycles in the census table, bernstream._cycles:
+    {word: (marks, period, j)}, where word is mark j of the cycle with that
+    period and marks all of its marks, M words apart from its smallest."""
+    from . import _cycles
+    prefix, table = f"{mu} ", {}
+    line = next((line for line in _cycles.TABLE.splitlines() if line.startswith(prefix)), "")
+    if not line:
+        return table
+    _, cycles, blob = line.split(" ")
+    words = array("I", a2b_base64(blob))
+    if sys.byteorder == "big":
+        words.byteswap()
+    start = 0
+    for cycle in cycles.split(","):
+        period = int(cycle.partition(":")[0])
+        marks = words[start:start - (-period // _cycles.M)]
+        start += len(marks)
+        table.update((word, (marks, period, j)) for j, word in enumerate(marks))
+    return table
+
+
 class _Orbit:
     """A generator's orbit from state x under mu, stepped only as far as
     reads need.
@@ -72,9 +100,17 @@ class _Orbit:
     again over _BLOCK bytes: every window of read(), at most _BLOCK bytes,
     that starts at or before tail + period is one slice of seq, even for
     periods shorter than a window. An orbit records at most TABLE_CAP words.
+
+    A block whose last M words hold a mark of one of mu's tabulated cycles
+    (bernstream._cycles, M words apart) puts the orbit on that cycle: it is
+    closed there, and the rest of its cycle is stepped by
+    prng.iterate_lanes from the marks, written straight into words. So an
+    orbit on a tabulated cycle steps less than tail + M + CYCLE_BLOCK words
+    one by one, and its lanes step at most period + M - 1 more, some of
+    them cycle words the loop already stepped.
     """
 
-    __slots__ = ("words", "seq", "tail", "period", "pos", "x", "mu", "_blocks")
+    __slots__ = ("words", "seq", "tail", "period", "pos", "x", "mu", "_blocks", "_marks")
 
     def __init__(self, x: int, mu: int):
         self.words, self.seq = array("I"), bytearray()
@@ -82,6 +118,7 @@ class _Orbit:
         # words[pos] is the next word to serve, and x the state before it
         self.pos, self.x, self.mu = 0, x, mu
         self._blocks = cycle_blocks(x, mu, TABLE_CAP, self.words)
+        self._marks = _tabulated(mu)
 
     def record(self, n: int) -> bool:
         """Step on until the orbit is closed or holds the next n words;
@@ -90,14 +127,56 @@ class _Orbit:
         while self.period is None and len(words) < self.pos + n:
             # (tail, period, steps) once it ends; a spent closure ran out
             done = next(self._blocks, (None, None))
+            if done is None and self._marks:
+                done = self._lay_cycle()
+            elif done and done[1] is not None:
+                # words[0] is one step after x, so the record's tail is one
+                # word shorter than the orbit's, unless x lies on the cycle.
+                done = max(done[0] - 1, 0), done[1]
             with memoryview(words) as view:
-                seq += _fold(view[len(seq):])
+                for start in range(len(seq), len(words), CYCLE_BLOCK):
+                    seq += _fold(view[start:start + CYCLE_BLOCK])
             if done:
                 self._blocks.close()  # drops the closure's marks and last block
                 if done[1] is None:
                     return False
                 self._close(*done[:2])
         return True
+
+    def _lay_cycle(self) -> tuple[int, int] | None:
+        """The record's (tail, period) if the last M words hold a tabulated
+        mark, with the cycle's words laid into the record; otherwise None,
+        as when the lanes would take the record past TABLE_CAP."""
+        from . import _cycles
+        words, marks, M = self.words, self._marks, _cycles.M
+        end = len(words)
+        window = words[-M:]
+        if marks.keys().isdisjoint(window):
+            return None
+        # the first hit is x_p, mark j of its cycle (words[i] is x_{i + 1})
+        p = end - len(window) + 1 + next(i for i, w in enumerate(window) if w in marks)
+        cycle, period, j = marks[words[p - 1]]
+        # x_end lies u words past the cycle's smallest word, and d words past
+        # the mark whose lane the record resumes with, at index base.
+        u = (j * M + end - p) % period
+        d = u % M
+        base, size = end - d, end - d + len(cycle) * M
+        if size > TABLE_CAP:
+            return None
+        self._blocks.close()  # frees the closure's marks before the record grows
+        zeros = bytes(4 * CYCLE_BLOCK)
+        while len(words) < size:
+            words.frombytes(zeros[:4 * (size - len(words))])
+        # words[base + k] is the cycle's word u - d + 1 + k for k < period.
+        # Lanes overwrite the last d words with themselves: p <= base, as
+        # d <= end - p, so those are cycle words.
+        iterate_lanes(cycle, self.mu, M, words,
+                      [base + (i * M - u + d) % period for i in range(len(cycle))])
+        # x_{t + 1} is the cycle's word j * M - (p - t - 1) from the tail on,
+        # and no cycle word before it
+        tail = bisect_left(range(p), True, key=lambda t: words[t] == words[
+            base + (j * M - p + t - u + d) % period])
+        return tail, period
 
     def serve(self, n: int) -> int:
         """The folds of the next n <= _BLOCK words, as one little-endian int."""
@@ -112,10 +191,7 @@ class _Orbit:
         return out
 
     def _close(self, tail: int, period: int) -> None:
-        """Cut the record to tail + period words once a word repeats."""
-        # words[0] is one step after x, so the record's tail is one word
-        # shorter than the orbit's, unless x lies on the cycle.
-        tail = max(tail - 1, 0)
+        """Cut the record to its tail + period words once a word repeats."""
         size = tail + period
         del self.words[size:], self.seq[size:]
         self.seq += (self.seq[tail:tail + _BLOCK] * -(-_BLOCK // period))[:_BLOCK]
@@ -162,21 +238,23 @@ class KeystreamGenerator:
         or afresh from its generator's state if that moved (by iterate())
         or its mu was assigned another value.
         Of k words served, an orbit steps at most min(k, tail + period +
-        isqrt(CYCLE_BLOCK)) + CYCLE_BLOCK, as its closure steps less than
-        tail + period + isqrt(CYCLE_BLOCK) + CYCLE_BLOCK words. Then both
+        isqrt(CYCLE_BLOCK)) + CYCLE_BLOCK words one by one, as its closure
+        steps less than tail + period + isqrt(CYCLE_BLOCK) + CYCLE_BLOCK;
+        one on a tabulated cycle of _cycles steps less than tail + M +
+        CYCLE_BLOCK one by one, then less than period + M as lanes. Then both
         generators hold the state that n steps reach. A read that needs a
         word past an orbit's first TABLE_CAP, with no repeat among them,
         raises ValueError, with or without allow_weak_mu, before it serves a
         byte or moves a generator: both orbits record the read's words first.
         """
+        n = index(n)
         if n < 0:
             raise ValueError(f"byte count must be >= 0: {n!r}")
         view = None if data is None else memoryview(data).cast("B")
         if view is not None and view.nbytes != n:
             raise ValueError(f"data must hold {n} bytes, not {view.nbytes}")
-        self._served += n
         orbits = self._orbits
-        if self._served >= TABLE_THRESHOLD:
+        if self._served + n >= TABLE_THRESHOLD:
             gens = (self.gen_a, self.gen_b)
             orbits[:] = [o if o and (o.x, o.mu) == (g.x, g.mu) else _Orbit(g.x, g.mu)
                          for o, g in zip(orbits, gens)]
@@ -184,6 +262,7 @@ class KeystreamGenerator:
             if unclosed:
                 raise ValueError(f"the orbit of mu {unclosed[0]} has not closed within "
                                  f"TABLE_CAP = {TABLE_CAP} words: its period is unknown")
+        self._served += n  # the read can no longer be refused
         out = []
         for start in range(0, n, _BLOCK):
             size = min(_BLOCK, n - start)

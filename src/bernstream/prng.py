@@ -12,6 +12,7 @@ multiplier.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left
 from itertools import repeat
@@ -147,6 +148,39 @@ def step_lanes(x, mu):
         x >>= seven
         x += gf
         yield x
+
+
+# Steps per unpacking of iterate_lanes: its scratch is this many steps of
+# every lane.
+_LANE_BATCH = 64
+
+
+def iterate_lanes(starts, mu: int, n: int, out: array, at) -> None:
+    """Step each word of starts n times under mu, and store the n words
+    after starts[i] in out[at[i]:at[i] + n], lane by lane. out is an
+    array('I') that already holds those indices. Inputs are not checked.
+
+    The lanes are the 64-bit slots of one Python int, packed and unpacked
+    in native byte order, and all are stepped at once by iterate's step,
+    masked per slot: x = (((x & low31) * mu >> 7) & low39) + gf. A
+    slot's product stays below 2**39, so it carries into no other slot;
+    the mask drops the bits that >> 7 shifts in from the slot above, and
+    the sum stays below 2**32. Words are unpacked _LANE_BATCH steps at a
+    time, and each lane's are written to out by one slice assignment.
+    """
+    order, lanes = sys.byteorder, len(starts)
+    ones = int.from_bytes(array("Q", [1]) * lanes, order)
+    low31, low39, gf = 0x7FFFFFFF * ones, ((1 << 39) - 1) * ones, ((256 - mu) << 23) * ones
+    x, size = int.from_bytes(array("Q", starts), order), 8 * lanes
+    low = order == "big"  # the index of a slot's low half among its two words
+    for done in range(0, n, _LANE_BATCH):
+        k, words = min(_LANE_BATCH, n - done), array("I")
+        for _ in range(k):
+            x = (((x & low31) * mu >> 7) & low39) + gf
+            words.frombytes(x.to_bytes(size, order))
+        # lane i's word after step j of the batch is words[2 * (j * lanes + i) + low]
+        for i, a in enumerate(at):
+            out[a + done:a + done + k] = words[2 * i + low::2 * lanes]
 
 
 # Words per block of cycle_blocks, for analysis.cycle_length and the

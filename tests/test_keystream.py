@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernstream import analysis, keystream, prng
+from bernstream import _cycles, analysis, keystream, prng
 from bernstream.cipher import (CipherKey, DegenerateKeyError, encrypt_bytes, encrypt_stream,
                                parse_key)
 from bernstream.keystream import TABLE_THRESHOLD, KeystreamGenerator, keystream_bytes
@@ -287,14 +287,16 @@ class TestKeystreamGenerator:
         assert out == keystream_bytes(SIM_KEY, TABLE_THRESHOLD - 1)
         assert gen._orbits == [None, None]
         # the read that reaches the threshold records both orbits from its
-        # first word, and steps each one closure block
+        # first word, and steps each one closure block: a is still in its
+        # tail, and b, already on its tabulated cycle, closes through the table
         want = keystream_bytes(SIM_KEY, SIM_LONG)
         assert gen.read(1) == want[TABLE_THRESHOLD - 1:TABLE_THRESHOLD]
         assert all(isinstance(o, keystream._Orbit) for o in gen._orbits)
         for orbit, seed, mu in zip(gen._orbits, (SIM_KEY.seed1, SIM_KEY.seed2),
                                    (SIM_KEY.mu1, SIM_KEY.mu2)):
             assert orbit.words[0] == advance(seed, mu, TABLE_THRESHOLD)
-            assert len(orbit.words) == prng.CYCLE_BLOCK
+        assert len(gen._orbits[0].words) == prng.CYCLE_BLOCK
+        assert (gen._orbits[1].tail, gen._orbits[1].period) == (0, SIM_ORBIT_B[1])
         # read on past both closures: the orbits keep their anchor
         assert gen.read(SIM_LONG - TABLE_THRESHOLD) == want[TABLE_THRESHOLD:]
         for orbit, (tail, period) in zip(gen._orbits, [SIM_ORBIT_A, SIM_ORBIT_B]):
@@ -328,6 +330,19 @@ class TestKeystreamGenerator:
             prng.CYCLE_BLOCK + 64)
         assert gen.gen_a.x == advance(SIM_KEY.seed1, SIM_KEY.mu1, SIM_LONG)
         assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, SIM_LONG)
+
+    @pytest.mark.parametrize("head", [1000, TABLE_THRESHOLD + 1000])
+    @pytest.mark.parametrize("n", [1.5, 70_000.0, "7", None])
+    def test_a_read_of_no_integer_count_changes_nothing(self, head, n):
+        # the count is taken as an integer first, so nothing is served,
+        # counted, recorded or stepped
+        gen = KeystreamGenerator.from_key(SIM_KEY)
+        gen.read(head)
+        before = (gen._served, list(gen._orbits), gen.gen_a.x, gen.gen_b.x)
+        with pytest.raises(TypeError):
+            gen.read(n)
+        assert (gen._served, gen._orbits, gen.gen_a.x, gen.gen_b.x) == before
+        assert gen.read(5000) == keystream_bytes(SIM_KEY, head + 5000)[head:]
 
     def test_read_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -486,12 +501,12 @@ CAPPED_A = r"^the orbit of mu 170 has not closed within TABLE_CAP = 131072 words
 
 def assert_read_refused(gen, n, data=None):
     """read(n, data) raises CAPPED_A, and so does the same read again; each
-    leaves both generators where they were."""
-    states = (gen.gen_a.x, gen.gen_b.x)
+    leaves both generators where they were, and the count of bytes served."""
+    states = (gen.gen_a.x, gen.gen_b.x, gen._served)
     for _ in range(2):
         with pytest.raises(ValueError, match=CAPPED_A):
             gen.read(n, data)
-        assert (gen.gen_a.x, gen.gen_b.x) == states
+        assert (gen.gen_a.x, gen.gen_b.x, gen._served) == states
 
 
 def assert_fused_reads_exact(key, orbits, n):
@@ -584,6 +599,7 @@ def test_read_past_an_unclosed_orbit_raises(monkeypatch):
         assert gen.gen_b.x == advance(SIM_KEY.seed2, SIM_KEY.mu2, edge)
         assert_read_refused(gen, 1)
         assert_capped_a_closed_b(gen._orbits)
+        assert gen._served == edge
 
 
 def test_capped_orbit_and_b_are_recorded_once(monkeypatch):
@@ -637,29 +653,42 @@ SIM_ORBITS = [(SIM_KEY.seed1, SIM_KEY.mu1, *SIM_ORBIT_A),
               (SIM_KEY.seed2, SIM_KEY.mu2, *SIM_ORBIT_B)]
 
 
-@pytest.mark.parametrize("orbits, cap", [
-    (SIM_ORBITS, None), (SIM_ORBITS, 1 << 17), ([SHORT_PERIOD, PERIOD_2], None),
-], ids=["closing orbits", "a over the cap", "period 5736 and period 2"])
-def test_each_orbit_word_is_stepped_at_most_once(monkeypatch, orbits, cap):
+@pytest.mark.parametrize("orbits, cap, table", [
+    (SIM_ORBITS, None, True), (SIM_ORBITS, 1 << 17, True),
+    ([SHORT_PERIOD, PERIOD_2], None, True), (SIM_ORBITS, None, False),
+], ids=["closing orbits", "a over the cap", "period 5736 and period 2",
+        "closing orbits off the table"])
+def test_each_orbit_word_is_stepped_at_most_once(monkeypatch, orbits, cap, table):
     # Over random read splits, with iterate() on one generator or both
     # between reads, each recorded orbit steps at most min(words reads need,
-    # tail + period + isqrt(CYCLE_BLOCK)) + CYCLE_BLOCK words from its anchor, and
-    # iterate() re-records only the orbit of the generator it moved. An
-    # orbit longer than TABLE_CAP steps at most words needed + CYCLE_BLOCK,
-    # and TABLE_CAP in all; exactly the reads that need a word past those
-    # raise, and they serve nothing and move neither generator.
+    # tail + period + isqrt(CYCLE_BLOCK)) + CYCLE_BLOCK words one by one from
+    # its anchor, and iterate() re-records only the orbit of the generator it
+    # moved. An orbit longer than TABLE_CAP steps at most words needed +
+    # CYCLE_BLOCK, and TABLE_CAP in all; exactly the reads that need a word
+    # past those raise, and they serve nothing and move neither generator.
+    # An orbit that closes on a tabulated cycle steps at most min(words
+    # needed, tail + M) + CYCLE_BLOCK words one by one, and its lanes step
+    # less than period + M words, once.
     if cap:
         monkeypatch.setattr(keystream, "TABLE_CAP", cap)
-    block = prng.CYCLE_BLOCK
+    if not table:
+        monkeypatch.setattr(_cycles, "TABLE", "")
+    block, lane_width = prng.CYCLE_BLOCK, _cycles.M
     (seed1, mu1, *_), (seed2, mu2, *_) = orbits
     key = CipherKey(seed1, mu1, seed2, mu2)
     iterate = BernoulliGenerator.iterate  # steps uncounted
     stepped = {key.mu1: 0, key.mu2: 0}
+    laned = {key.mu1: 0, key.mu2: 0}
 
     def counted(gen, n):
         stepped[gen.mu] += n
         return iterate(gen, n)
+
+    def counted_lanes(starts, mu, n, out, at):
+        laned[mu] += len(starts) * n
+        prng.iterate_lanes(starts, mu, n, out, at)
     monkeypatch.setattr(BernoulliGenerator, "iterate", counted)
+    monkeypatch.setattr(keystream, "iterate_lanes", counted_lanes)
     refusals = 0
     for split in range(3):
         rng = random.Random(split)
@@ -667,7 +696,8 @@ def test_each_orbit_word_is_stepped_at_most_once(monkeypatch, orbits, cap):
         gens = (gen.gen_a, gen.gen_b)
         twins = [BernoulliGenerator(key.seed1, key.mu1), BernoulliGenerator(key.seed2, key.mu2)]
         pos = [0, 0]  # steps from the seed
-        # [its tail + period, words served, most words a read needed, words stepped]
+        # [its tail, its tail + period, words served, most words a read needed,
+        # words stepped one by one, and as lanes]
         anchors = [None, None]
         while pos[0] < SIM_LONG:
             moved = [rng.random() < 0.15 for _ in gens]
@@ -678,7 +708,7 @@ def test_each_orbit_word_is_stepped_at_most_once(monkeypatch, orbits, cap):
                     iterate(twins[i], k)
                     pos[i] += k
             k = rng.choice([rng.randrange(1, 2000), rng.randrange(1, 3 * keystream._BLOCK)])
-            before, old = dict(stepped), list(gen._orbits)
+            before, lanes_before, old = dict(stepped), dict(laned), list(gen._orbits)
             try:
                 got = gen.read(k)
             except ValueError:
@@ -689,29 +719,39 @@ def test_each_orbit_word_is_stepped_at_most_once(monkeypatch, orbits, cap):
             refused = False
             for i, (g, orbit, (_, _, tail, period)) in enumerate(zip(gens, gen._orbits, orbits)):
                 delta = stepped[g.mu] - before[g.mu]
+                lanes = laned[g.mu] - lanes_before[g.mu]
                 if orbit is None:
                     assert delta == k
                 else:
                     assert (orbit is old[i]) == (old[i] is not None and not moved[i])
                     if orbit is not old[i]:
-                        anchors[i] = [max(tail - pos[i], 0) + period, 0, 0, 0]
+                        anchors[i] = [max(tail - pos[i], 0), max(tail - pos[i], 0) + period,
+                                      0, 0, 0, 0]
                     anchor = anchors[i]
-                    length, served = anchor[0], anchor[1]
-                    anchor[2] = needed = max(anchor[2], served + k)
-                    anchor[3] += delta
-                    if length > keystream.TABLE_CAP:
+                    length, served = anchor[1], anchor[2]
+                    anchor[3] = needed = max(anchor[3], served + k)
+                    anchor[4] += delta
+                    assert not (lanes and anchor[5])
+                    anchor[5] += lanes
+                    if anchor[5]:
+                        assert anchor[4] <= min(needed, anchor[0] + lane_width) + block
+                        assert anchor[5] < period + lane_width
+                        assert orbit.period == period
+                    elif length > keystream.TABLE_CAP:
                         refused |= served + k > keystream.TABLE_CAP
-                        assert anchor[3] <= min(needed + block, keystream.TABLE_CAP)
+                        assert anchor[4] <= min(needed + block, keystream.TABLE_CAP)
                     else:
-                        assert anchor[3] <= min(needed, length + math.isqrt(block)) + block
+                        assert anchor[4] <= min(needed, length + math.isqrt(block)) + block
                     if got is not None:
-                        anchor[1] += k
+                        anchor[2] += k
                 if got is not None:
                     pos[i] += k
             assert (got is None) == refused
             refusals += refused
-    # only the orbit over the cap refuses reads, and the splits reach it
+    # only the orbit over the cap refuses reads, and the splits reach it;
+    # each case holds a tabulated cycle, which the table closes
     assert bool(refusals) == bool(cap)
+    assert bool(sum(laned.values())) == table
 
 
 @pytest.mark.parametrize("hex_key, orbit_a, orbit_b, lcm, repeat_at", [

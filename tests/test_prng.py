@@ -1,10 +1,12 @@
 import random
+from array import array
 
 import numpy as np
 import pytest
 
 from bernstream.prng import (CYCLE_BLOCK, MU_MAX, WORD_MASK, BernoulliGenerator,
-                             generalization_factor, max_step_value, step, step_lanes)
+                             generalization_factor, iterate_lanes, max_step_value, step,
+                             step_lanes)
 
 from oracles import advance, orbit_reference, step_reference
 
@@ -235,3 +237,19 @@ def test_step_lanes_equals_iterate_and_the_oracle_lane_by_lane(k):
         assert words == BernoulliGenerator(seed, m).iterate(k)
         assert words == orbit_reference(seed, m, k)
     assert x.tolist() == [w[-1] for w in by_lane]
+
+
+@pytest.mark.parametrize("mu", LANE_MUS)
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
+def test_iterate_lanes_equals_iterate_on_every_slot(mu, n):
+    # the extreme words, whose products fill a slot's 39 bits, beside
+    # random ones; lanes are written out of order, with a gap between them
+    rng = random.Random(n * 256 + mu)
+    starts = [*LANE_SEEDS, *(rng.getrandbits(32) for _ in range(20))]
+    at = [(n + 3) * i for i in reversed(range(len(starts)))]
+    out = array("I", [0xDEADBEEF]) * ((n + 3) * len(starts))
+    iterate_lanes(starts, mu, n, out, at)
+    for seed, a in zip(starts, at):
+        assert out[a:a + n].tolist() == BernoulliGenerator(seed, mu).iterate(n)
+        assert out[a + n:a + n + 3].tolist() == [0xDEADBEEF] * 3
+    assert out[at[0]:at[0] + n].tolist() == orbit_reference(starts[0], mu, n)
