@@ -11,11 +11,12 @@ tail and period.
 from __future__ import annotations
 
 from array import array
+from operator import index
 from typing import NamedTuple
 
 # CYCLE_BLOCK is also the block in which coverage() steps its outputs with
 # BernoulliGenerator.iterate, so memory stays flat.
-from .prng import (CYCLE_BLOCK, BernoulliGenerator, _check_mu, _check_word, cycle_blocks,
+from .prng import (CYCLE_BLOCK, BernoulliGenerator, _check_mu, _check_word, close_orbit,
                    step_lanes)
 
 DEFAULT_TRANSIENT = 1000
@@ -28,9 +29,10 @@ CSV_HEADER = "mu,section,value"
 class CycleResult(NamedTuple):
     """Eventually-periodic structure of one orbit.
 
-    When the step budget runs out before the cycle is confirmed, `tail`
-    and `period` are None and `steps_examined` reports the work done;
-    that is an outcome, not an error.
+    `steps_examined` counts the map steps taken, one by one and as lanes
+    of a tabulated cycle. When the step budget runs out before the cycle
+    is confirmed, `tail` and `period` are None and `steps_examined`
+    reports the work done; that is an outcome, not an error.
     """
 
     tail: int | None
@@ -105,20 +107,31 @@ def cycle_length(seed: int, mu: int,
                  max_steps: int = DEFAULT_MAX_STEPS) -> CycleResult:
     """Tail and minimal period of the orbit from `seed`, in a single pass.
 
-    It runs prng.cycle_blocks, the closure that the keystream's orbits
-    also run, to its last item. That keeps every state it steps, 4 bytes
-    each in an array('I'), and one mark per isqrt(prng.CYCLE_BLOCK) = 64
-    steps, and places the period and tail from those words. Every map
-    evaluation counts against `max_steps`: whole blocks, the last one cut
-    to the budget. So steps_examined <= max_steps, and it exceeds tail +
-    period by less than one block and 64 steps. An out-of-range seed or
-    mu raises ValueError, and a non-integer one TypeError, from the
-    generator's first step.
+    It runs prng.close_orbit, the closure that the keystream's orbits and
+    key_period also run, to its last item. That steps the orbit in blocks
+    of prng.CYCLE_BLOCK = 4,096 words and keeps every state, 4 bytes each
+    in an array('I'), and there are two ways for it to close:
+    - On the census table, bernstream._cycles, when the orbit reaches one
+      of mu's tabulated cycles, as most orbits under mu 129..255 do. The
+      period is the table's, and the tail is placed by bisection over the
+      last block and M = 1,024 words, against that span of the cycle
+      stepped as lanes from its marks. It takes less than tail + 3M +
+      2 * CYCLE_BLOCK steps, whatever the period.
+    - Off the table, by prng.cycle_blocks alone, which keeps one mark per
+      64 steps and places the period and tail from the kept words. It
+      takes at least tail + period steps and less than tail + period +
+      CYCLE_BLOCK + 64.
+    Every map evaluation, in the loop or in a lane, counts against
+    `max_steps`, which is taken through operator.index before any step.
+    So steps_examined <= max_steps, and a found orbit has tail + period
+    <= max_steps either way. An out-of-range seed or mu raises ValueError,
+    and a non-integer one TypeError, before any step.
     """
+    max_steps = index(max_steps)
     if max_steps < 1:
         raise ValueError(f"step budget must be >= 1: {max_steps!r}")
-    *_, result = cycle_blocks(seed, mu, max_steps, array("I"))
-    return CycleResult(*result)
+    *_, (tail, period, steps, _) = close_orbit(seed, mu, max_steps, array("I"))
+    return CycleResult(tail, period, steps)
 
 
 def write_bifurcation_csv(values, mu_min: int, section: int, stream) -> None:

@@ -14,15 +14,12 @@ orbit record, up to its tail + period words (see _Orbit).
 
 from __future__ import annotations
 
-import sys
 from array import array
-from binascii import a2b_base64
-from bisect import bisect_left
 from math import isqrt, lcm
 from operator import index
 from typing import NamedTuple
 
-from .prng import CYCLE_BLOCK, BernoulliGenerator, cycle_blocks, iterate_lanes
+from .prng import CYCLE_BLOCK, BernoulliGenerator, close_orbit, iterate_lanes
 
 
 # read() steps both generators with iterate() until a read reaches
@@ -65,33 +62,11 @@ def _fold(*arrays: array) -> bytes:
     return m.to_bytes(4 * len(words), "little")[::4]
 
 
-def _tabulated(mu: int) -> dict:
-    """The marks of mu's cycles in the census table, bernstream._cycles:
-    {word: (marks, period, j)}, where word is mark j of the cycle with that
-    period and marks all of its marks, M words apart from its smallest."""
-    from . import _cycles
-    prefix, table = f"{mu} ", {}
-    line = next((line for line in _cycles.TABLE.splitlines() if line.startswith(prefix)), "")
-    if not line:
-        return table
-    _, cycles, blob = line.split(" ")
-    words = array("I", a2b_base64(blob))
-    if sys.byteorder == "big":
-        words.byteswap()
-    start = 0
-    for cycle in cycles.split(","):
-        period = int(cycle.partition(":")[0])
-        marks = words[start:start - (-period // _cycles.M)]
-        start += len(marks)
-        table.update((word, (marks, period, j)) for j, word in enumerate(marks))
-    return table
-
-
 class _Orbit:
     """A generator's orbit from state x under mu, stepped only as far as
     reads need.
 
-    words[i] is the state i + 1 steps after x: prng.cycle_blocks appends
+    words[i] is the state i + 1 steps after x: prng.close_orbit appends
     them in CYCLE_BLOCK-word blocks, 4 bytes a step, and keeps one mark
     per isqrt(CYCLE_BLOCK) = 64 steps until the orbit closes. Each block
     is folded into seq as soon as it is appended, so len(seq) ==
@@ -101,82 +76,66 @@ class _Orbit:
     that starts at or before tail + period is one slice of seq, even for
     periods shorter than a window. An orbit records at most TABLE_CAP words.
 
-    A block whose last M words hold a mark of one of mu's tabulated cycles
-    (bernstream._cycles, M words apart) puts the orbit on that cycle: it is
-    closed there, and the rest of its cycle is stepped by
-    prng.iterate_lanes from the marks, written straight into words. So an
-    orbit on a tabulated cycle steps less than tail + M + CYCLE_BLOCK words
-    one by one, and its lanes step at most period + M - 1 more, some of
-    them cycle words the loop already stepped.
+    An orbit that close_orbit closes on a tabulated cycle of
+    bernstream._cycles has stepped less than tail + M + CYCLE_BLOCK words
+    one by one; the rest of its cycle is then stepped by
+    prng.iterate_lanes from the cycle's marks, M words apart, and written
+    straight into words. Those lanes step at most period + M - 1 words,
+    some of them cycle words the loop already stepped.
     """
 
-    __slots__ = ("words", "seq", "tail", "period", "pos", "x", "mu", "_blocks", "_marks")
+    __slots__ = ("words", "seq", "tail", "period", "pos", "x", "mu", "_blocks")
 
     def __init__(self, x: int, mu: int):
         self.words, self.seq = array("I"), bytearray()
         self.tail = self.period = None
         # words[pos] is the next word to serve, and x the state before it
         self.pos, self.x, self.mu = 0, x, mu
-        self._blocks = cycle_blocks(x, mu, TABLE_CAP, self.words)
-        self._marks = _tabulated(mu)
+        self._blocks = close_orbit(x, mu, TABLE_CAP, self.words)
 
     def record(self, n: int) -> bool:
         """Step on until the orbit is closed or holds the next n words;
         False if it ran out at TABLE_CAP words first."""
         words, seq = self.words, self.seq
         while self.period is None and len(words) < self.pos + n:
-            # (tail, period, steps) once it ends; a spent closure ran out
-            done = next(self._blocks, (None, None))
-            if done is None and self._marks:
-                done = self._lay_cycle()
-            elif done and done[1] is not None:
-                # words[0] is one step after x, so the record's tail is one
-                # word shorter than the orbit's, unless x lies on the cycle.
-                done = max(done[0] - 1, 0), done[1]
+            # (tail, period, steps, cycle) once it ends; a spent closure ran out
+            done = next(self._blocks, (None, None, 0, None))
+            if done:
+                self._blocks.close()  # drops the closure's marks, last block and lanes
+                tail, period, _, cycle = done
+                if cycle:
+                    self._lay_cycle(period, *cycle)
             with memoryview(words) as view:
                 for start in range(len(seq), len(words), CYCLE_BLOCK):
                     seq += _fold(view[start:start + CYCLE_BLOCK])
             if done:
-                self._blocks.close()  # drops the closure's marks and last block
-                if done[1] is None:
+                if period is None:
                     return False
-                self._close(*done[:2])
+                # words[0] is one step after x, so the record's tail is one
+                # word shorter than the orbit's, unless x lies on the cycle.
+                self._close(max(tail - 1, 0), period)
         return True
 
-    def _lay_cycle(self) -> tuple[int, int] | None:
-        """The record's (tail, period) if the last M words hold a tabulated
-        mark, with the cycle's words laid into the record; otherwise None,
-        as when the lanes would take the record past TABLE_CAP."""
-        from . import _cycles
-        words, marks, M = self.words, self._marks, _cycles.M
-        end = len(words)
-        window = words[-M:]
-        if marks.keys().isdisjoint(window):
-            return None
-        # the first hit is x_p, mark j of its cycle (words[i] is x_{i + 1})
-        p = end - len(window) + 1 + next(i for i, w in enumerate(window) if w in marks)
-        cycle, period, j = marks[words[p - 1]]
-        # x_end lies u words past the cycle's smallest word, and d words past
-        # the mark whose lane the record resumes with, at index base.
-        u = (j * M + end - p) % period
+    def _lay_cycle(self, period: int, marks: array, u: int) -> None:
+        """Lay the rest of a tabulated cycle into the record by lanes from
+        its marks: the cycle with that period and marks, whose word u steps
+        past its smallest is the record's last. The record may then hold
+        up to 2M - 2 words past TABLE_CAP, until _close cuts it to tail +
+        period <= TABLE_CAP."""
+        from ._cycles import M
+        words = self.words
+        # the record's last word lies d words past the mark whose lane the
+        # record resumes with, at index base
         d = u % M
-        base, size = end - d, end - d + len(cycle) * M
-        if size > TABLE_CAP:
-            return None
-        self._blocks.close()  # frees the closure's marks before the record grows
+        base, size = len(words) - d, len(words) - d + len(marks) * M
         zeros = bytes(4 * CYCLE_BLOCK)
         while len(words) < size:
             words.frombytes(zeros[:4 * (size - len(words))])
         # words[base + k] is the cycle's word u - d + 1 + k for k < period.
-        # Lanes overwrite the last d words with themselves: p <= base, as
-        # d <= end - p, so those are cycle words.
-        iterate_lanes(cycle, self.mu, M, words,
-                      [base + (i * M - u + d) % period for i in range(len(cycle))])
-        # x_{t + 1} is the cycle's word j * M - (p - t - 1) from the tail on,
-        # and no cycle word before it
-        tail = bisect_left(range(p), True, key=lambda t: words[t] == words[
-            base + (j * M - p + t - u + d) % period])
-        return tail, period
+        # Lanes overwrite the last d words with themselves: close_orbit's
+        # hit, at or past the tail, lies at least d words before the end.
+        iterate_lanes(marks, self.mu, M, words,
+                      [base + (i * M - u + d) % period for i in range(len(marks))])
 
     def serve(self, n: int) -> int:
         """The folds of the next n <= _BLOCK words, as one little-endian int."""
@@ -241,7 +200,8 @@ class KeystreamGenerator:
         isqrt(CYCLE_BLOCK)) + CYCLE_BLOCK words one by one, as its closure
         steps less than tail + period + isqrt(CYCLE_BLOCK) + CYCLE_BLOCK;
         one on a tabulated cycle of _cycles steps less than tail + M +
-        CYCLE_BLOCK one by one, then less than period + M as lanes. Then both
+        CYCLE_BLOCK one by one, then at most CYCLE_BLOCK + 2M as lanes to
+        place its tail and less than period + M to lay its cycle. Then both
         generators hold the state that n steps reach. A read that needs a
         word past an orbit's first TABLE_CAP, with no repeat among them,
         raises ValueError, with or without allow_weak_mu, before it serves a
@@ -302,13 +262,15 @@ class KeyPeriod(NamedTuple):
 
 
 def key_period(key) -> KeyPeriod | None:
-    """A key's KeyPeriod, from prng.cycle_blocks under TABLE_CAP; None
+    """A key's KeyPeriod, from prng.close_orbit under TABLE_CAP, which
+    steps only about an orbit's tail when its cycle is tabulated; None
     unless each orbit has tail + period + CYCLE_BLOCK + isqrt(CYCLE_BLOCK)
     <= TABLE_CAP. Such an orbit closes within TABLE_CAP words from any
-    later state too, so read() never refuses the key."""
+    later state too, on the table or off it, so read() never refuses the
+    key."""
     orbits = []
     for seed, mu in ((key.seed1, key.mu1), (key.seed2, key.mu2)):
-        *_, (tail, period, _) = cycle_blocks(seed, mu, TABLE_CAP, array("I"))
+        *_, (tail, period, _, _) = close_orbit(seed, mu, TABLE_CAP, array("I"))
         if period is None or tail + period + CYCLE_BLOCK + isqrt(CYCLE_BLOCK) > TABLE_CAP:
             return None
         orbits += tail, period

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from binascii import a2b_base64
 from bisect import bisect_left
 from itertools import repeat
 from math import isqrt
@@ -183,14 +184,15 @@ def iterate_lanes(starts, mu: int, n: int, out: array, at) -> None:
             out[a + done:a + done + k] = words[2 * i + low::2 * lanes]
 
 
-# Words per block of cycle_blocks, for analysis.cycle_length and the
-# keystream's recorded orbits, which take it from here alone. A closure
-# steps less than CYCLE_BLOCK + 2 * isqrt(CYCLE_BLOCK) words past tail +
-# period, and less than CYCLE_BLOCK + isqrt(CYCLE_BLOCK) when
-# isqrt(CYCLE_BLOCK) divides CYCLE_BLOCK, as 64 divides 4096. The margin of
-# keystream.key_period, and so every key generate_key returns, relies on
-# that condition. A smaller block oversteps less; each block costs about
-# 2 * isqrt(CYCLE_BLOCK) set operations beside its steps.
+# Words per block of cycle_blocks, and so of close_orbit, which
+# analysis.cycle_length, the keystream's recorded orbits and key_period run;
+# they take it from here alone. A closure off the table steps less than
+# CYCLE_BLOCK + 2 * isqrt(CYCLE_BLOCK) words past tail + period, and less
+# than CYCLE_BLOCK + isqrt(CYCLE_BLOCK) when isqrt(CYCLE_BLOCK) divides
+# CYCLE_BLOCK, as 64 divides 4096. The margin of keystream.key_period, and
+# so every key generate_key returns, relies on that condition. A smaller
+# block oversteps less; each block costs about 2 * isqrt(CYCLE_BLOCK) set
+# operations beside its steps.
 CYCLE_BLOCK = 4096
 
 
@@ -261,3 +263,97 @@ def cycle_blocks(x: int, mu: int, max_steps: int, words: array):
         yield tail, period, steps
         return
     yield None, None, steps
+
+
+def _tabulated(mu: int) -> dict:
+    """The marks of mu's cycles in the census table, bernstream._cycles:
+    {word: (marks, period, j)}, where word is mark j of the cycle with that
+    period and marks all of its marks, M words apart from its smallest."""
+    from . import _cycles
+    prefix, table = f"{mu} ", {}
+    line = next((line for line in _cycles.TABLE.splitlines() if line.startswith(prefix)), "")
+    if not line:
+        return table
+    _, cycles, blob = line.split(" ")
+    words = array("I", a2b_base64(blob))
+    if sys.byteorder == "big":
+        words.byteswap()
+    start = 0
+    for cycle in cycles.split(","):
+        period = int(cycle.partition(":")[0])
+        marks = words[start:start - (-period // _cycles.M)]
+        start += len(marks)
+        table.update((word, (marks, period, j)) for j, word in enumerate(marks))
+    return table
+
+
+def close_orbit(x: int, mu: int, max_steps: int, words: array):
+    """cycle_blocks, closed through the census table where the orbit
+    reaches one of mu's tabulated cycles: a generator that yields None
+    after every block that leaves the orbit open and then, as its last
+    item, (tail, period, steps, cycle). cycle is None unless the table
+    closed the orbit; then it is (marks, u): that cycle's marks, and the
+    place of the last word appended to `words` on it, u steps past the
+    cycle's smallest word.
+
+    After each open block of cycle_blocks, the last M words of `words` are
+    looked up among the marks of mu's cycles in bernstream._cycles, words
+    M = 1,024 steps apart, which the first open block loads. The first
+    hit, x_p, is mark j of a cycle, so the orbit is on that cycle: its
+    period is the table's, and tail <= p. Any M consecutive words of the
+    cycle hold a mark and no word before the tail lies on it, so the check
+    before, whose last word was x_E', found no mark only if tail > E' - M
+    + 1; let lo be that bound, or 0 at the first check. For t in [lo, p],
+    x_t lies on the cycle, as it does from the tail on, iff it is the
+    cycle's word p - t steps before mark j. Those p - lo < CYCLE_BLOCK + M
+    words are stepped by iterate_lanes from the marks before j, M words a
+    lane, and the tail is found by bisection over [lo, p]. No other cycle
+    word is stepped: the loop steps less than tail + M + CYCLE_BLOCK words
+    one by one, and the lanes at most CYCLE_BLOCK + 2M when M divides
+    CYCLE_BLOCK. steps counts both.
+
+    The table is set aside, and cycle_blocks runs on alone, where the
+    lanes would take steps past max_steps or p + period passes it. So
+    steps <= max_steps, and a closed orbit has tail + period <= max_steps,
+    as on cycle_blocks. x, mu and max_steps are checked, and max_steps
+    taken through operator.index, before any step.
+    """
+    x, mu, max_steps = _check_word(x), _check_mu(mu), index(max_steps)
+    blocks = cycle_blocks(x, mu, max_steps, words)
+    lo, marks = 0, None
+    for done in blocks:
+        if done:
+            yield *done, None
+            return
+        if marks is None:
+            from ._cycles import M
+            marks = _tabulated(mu)
+            mark_words = set(marks)  # a set's isdisjoint is faster than a dict view's
+        end = len(words)
+        if mark_words and not mark_words.isdisjoint(window := words[-M:]):
+            # the hit x_p is mark j of its cycle; words[i] is x_{i + 1}
+            p = end - len(window) + 1 + next(i for i, w in enumerate(window)
+                                             if w in mark_words)
+            cycle, period, j = marks[words[p - 1]]
+            # mark j - 1 - i lies back[i] steps before mark j; lanes from
+            # those marks step the p - lo words before it
+            k, span, back = j, 0, []
+            while span < p - lo:
+                k = (k - 1) % len(cycle)
+                span += min(M, period - k * M)
+                back.append(span)
+            if max(end + len(back) * M, p + period) > max_steps:
+                mark_words = ()
+            else:
+                blocks.close()
+                # lane[span - s] is the cycle's word s steps before mark j
+                lane = array("I", bytes(4 * (span + M)))
+                lane[0] = cycle[k]
+                iterate_lanes([cycle[(j - 1 - i) % len(cycle)] for i in range(len(back))],
+                              mu, M, lane, [span - s + 1 for s in back])
+                tail = lo + bisect_left(range(lo, p), True, key=lambda t: (
+                    words[t - 1] if t else x) == lane[span - p + t])
+                yield tail, period, end + len(back) * M, (cycle, (j * M + end - p) % period)
+                return
+        lo = max(end - M + 1, 0)
+        yield None

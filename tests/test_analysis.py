@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernstream import analysis, prng
+from bernstream import _cycles, analysis, prng
 from bernstream.analysis import (CYCLE_BLOCK, bifurcation_scan, byte_section,
                                  coverage, cycle_length, write_bifurcation_csv)
 from bernstream.prng import (WORD_MASK, BernoulliGenerator, generalization_factor,
@@ -222,17 +222,50 @@ class TestCycleLength:
         with pytest.raises(ValueError):
             cycle_length(seed, mu)
 
-    def test_numpy_integer_seed_is_stepped_as_a_python_int(self):
+    def test_numpy_integer_seed_is_stepped_as_a_python_int(self, no_table):
+        # off the table, as the closure steps every word of the cycle
+        no_table()
         want = (39396, 168564, 208_896)
         assert cycle_length(0x80000000, 170) == want
         assert cycle_length(np.uint32(0x80000000), 170) == want
         assert cycle_length(np.uint32(0x80000000), np.uint8(170)) == want
 
-    def test_memory_is_four_bytes_a_step(self):
+    def test_demo_orbit_closes_on_the_cycle_table(self):
+        # mu 170's cycle is tabulated. The first block end whose last M =
+        # 1,024 words hold a mark is 40,960, the tenth, and five lanes of M
+        # words lay the span that the tail is bisected over. Memory is the
+        # words at 4 B a step, lanes included, beside one block's list of
+        # ints, the set of mark words and mu 170's decoded entry of the
+        # table; the table module was imported with this one, so its
+        # compile is not counted.
+        assert _cycles.M == 1024
+        tracemalloc.start()
+        try:
+            result = cycle_length(0x80000000, 170)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (39396, 168564, 40_960 + 5 * 1024)
+        assert cycle_length(np.uint32(0x80000000), np.uint8(170)) == result
+        assert peak < 4 * result.steps_examined + (1 << 18)
+
+    @pytest.mark.parametrize("budget", [1e6, 5000.5])
+    def test_a_budget_of_no_integer_raises_before_any_step(self, monkeypatch, budget):
+        stepped = []
+        monkeypatch.setattr(BernoulliGenerator, "iterate", lambda gen, n: stepped.append(n))
+        monkeypatch.setattr(prng, "iterate_lanes", lambda *args: stepped.append(args))
+        with pytest.raises(TypeError):
+            cycle_length(5, 170, budget)
+        with pytest.raises(TypeError):
+            next(prng.close_orbit(5, 170, budget, array("I")))
+        assert stepped == []
+
+    def test_memory_is_four_bytes_a_step(self, no_table):
         # the closure keeps each state in an array('I'); a list of ints
         # would take about ten times this. Beside the words, one block's
         # list of ints and the set of mark words stay under 512 KiB; a dict
         # from each mark to its index would take about 600 KiB.
+        no_table()
         tracemalloc.start()
         try:
             result = cycle_length(0x80000000, 170)
@@ -312,7 +345,9 @@ CYCLE_CASES = [
 
 @pytest.mark.parametrize("name, block, orbit, tail", CYCLE_CASES,
                          ids=[c[0] for c in CYCLE_CASES])
-def test_single_pass_agrees_with_visited_set(monkeypatch, name, block, orbit, tail):
+def test_single_pass_agrees_with_visited_set(monkeypatch, no_table, name, block, orbit, tail):
+    # off the table, where every closure follows the rule closing_step restates
+    no_table()
     monkeypatch.setattr(prng, "CYCLE_BLOCK", block)
     seed, mu = with_tail(orbit, tail)
     period = orbit[3]
@@ -333,6 +368,7 @@ def test_any_orbit_closes_as_the_visited_set_within_the_bound(seed, mu, block):
     budget, S = 20_000, isqrt(block)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(prng, "CYCLE_BLOCK", block)
+        mp.setattr(_cycles, "TABLE", "")  # the bound is the closure's, off the table
         tail, period, steps = cycle_length(seed, mu, budget)
     if tail is None:
         assert steps == budget
@@ -349,11 +385,12 @@ def test_any_orbit_closes_as_the_visited_set_within_the_bound(seed, mu, block):
     (CYCLE_BLOCK, SHORT_PERIOD, 0),
     (296, SMALL, 666),
 ])
-def test_budget_at_the_recurrence(monkeypatch, block, orbit, tail):
+def test_budget_at_the_recurrence(monkeypatch, no_table, block, orbit, tail):
     # Blocks are stepped whole unless the budget cuts them, and a cut block
     # is tested by its own last isqrt(block) words. The block ending at end
     # closes the orbit, and e is the smallest budget inside it that does;
-    # the tail and period are placed from the words kept.
+    # the tail and period are placed from the words kept. All off the table.
+    no_table()
     monkeypatch.setattr(prng, "CYCLE_BLOCK", block)
     seed, mu = with_tail(orbit, tail)
     xs = whole_orbit(seed, mu, 2 * (tail + orbit[3] + block))

@@ -1,5 +1,6 @@
-"""The census table of cycles, bernstream._cycles, and the recorded orbits
-that close through it."""
+"""The census table of cycles, bernstream._cycles, and what closes orbits
+through it: prng.close_orbit, so cycle_length and key_period, and the
+keystream's recorded orbits."""
 
 import random
 import sys
@@ -9,6 +10,7 @@ from binascii import a2b_base64
 import pytest
 
 from bernstream import _cycles, keystream, prng
+from bernstream.analysis import cycle_length
 from bernstream.cipher import parse_key
 from bernstream.keystream import TABLE_THRESHOLD, KeystreamGenerator, _Orbit
 from bernstream.prng import CYCLE_BLOCK, iterate_lanes
@@ -47,12 +49,6 @@ def tabulated(mu):
     return entries()[mu]
 
 
-@pytest.fixture
-def no_table(monkeypatch):
-    """Empty the cycle table, so every orbit closes on prng.cycle_blocks."""
-    return lambda: monkeypatch.setattr(_cycles, "TABLE", "")
-
-
 def test_every_tabulated_cycle_checks_out_through_the_lanes():
     # From mark j, M lane steps reach mark j + 1, and period steps from the
     # smallest word return to it and to no word at or below it before.
@@ -84,9 +80,11 @@ def test_table_entries_replay_on_the_oracle(mu):
 
 
 def test_only_strong_mu_is_tabulated():
-    assert keystream._tabulated(128) == {} == keystream._tabulated(0)
+    assert prng._tabulated(128) == {} == prng._tabulated(0)
+    # the census found no cycle of CYCLE_BLOCK words or more under these
+    assert prng._tabulated(129) == {} == prng._tabulated(131)
     period, _, marks = tabulated(170)[0]
-    table = keystream._tabulated(170)
+    table = prng._tabulated(170)
     assert table[marks[3]] == (marks, period, 3)
 
 
@@ -199,3 +197,135 @@ def test_tails_are_placed_by_bisection(no_table, lane_calls, before):
     assert scalar.record(period + 3 * CYCLE_BLOCK)
     assert (orbit.tail, orbit.period) == (before - 1, period)
     assert orbit_state(orbit) == orbit_state(scalar)
+
+
+@pytest.fixture
+def prng_lanes(monkeypatch):
+    """(lanes, steps) of each prng.iterate_lanes call that close_orbit makes."""
+    calls = []
+
+    def counted(starts, mu, n, out, at):
+        calls.append((len(starts), n))
+        iterate_lanes(starts, mu, n, out, at)
+    monkeypatch.setattr(prng, "iterate_lanes", counted)
+    return calls
+
+
+def test_tabled_closures_agree_with_the_closure_off_the_table(prng_lanes):
+    # Seeded draws of seed and strong mu. An orbit closed on the table steps
+    # less than tail + M + CYCLE_BLOCK words one by one, and its lanes at
+    # most CYCLE_BLOCK + 2M; one off the table steps as cycle_blocks does.
+    rng = random.Random(31)
+    for _ in range(24):
+        seed, mu = rng.getrandbits(32), rng.randrange(129, 256)
+        calls = len(prng_lanes)
+        result = cycle_length(seed, mu)
+        *_, (tail, period, steps) = prng.cycle_blocks(seed, mu, 10**7, array("I"))
+        assert (result.tail, result.period) == (tail, period)
+        assert verify_cycle(seed, mu, tail, period) == []
+        if len(prng_lanes) > calls:
+            (lanes, n), = prng_lanes[calls:]
+            assert n == M and lanes <= CYCLE_BLOCK // M + 2
+            assert result.steps_examined - lanes * M < tail + M + CYCLE_BLOCK
+        else:
+            assert result.steps_examined == steps
+    assert len(prng_lanes) >= 18
+
+
+@pytest.mark.parametrize("phase, lanes", [
+    (0, 4), (-3073, 4), (-628 - 3073, 4), (-2976, 5),
+], ids=["the hit is the block's last word", "the hit is mark 0, behind the short last lane",
+        "the hit is the last mark", "the lanes span the short last lane"])
+def test_an_orbit_from_a_tabulated_cycle_closes_after_one_block(prng_lanes, phase, lanes):
+    # x_i lies phase + i steps past the cycle's smallest word, and the first
+    # block's last M words, x_3073 .. x_4096, hold the hit. The lanes step
+    # the words before it back to x_0, and mu 170's cycle of 168,564 words,
+    # no multiple of M, ends in a lane of 628 words.
+    period, _, marks = tabulated(170)[0]
+    assert period - (len(marks) - 1) * M == 628
+    x = advance(marks[0], 170, phase % period)
+    assert cycle_length(x, 170) == (0, period, CYCLE_BLOCK + lanes * M)
+    assert prng_lanes == [(lanes, M)]
+
+
+def preimages(y, mu):
+    """The words that one step under mu takes to y."""
+    v = y - ((256 - mu) << 23)
+    z = -(-(v << 7) // mu)
+    return [z, z | 1 << 31] if v >= 0 and z >> 31 == 0 and z * mu >> 7 == v else []
+
+
+def test_a_tail_at_the_low_end_of_the_bisection_span(monkeypatch, prng_lanes):
+    # A mark's word with its top bit flipped steps where the mark does, to
+    # the word one past the mark, and a preimage of it lies two steps off
+    # the cycle. In blocks of M words, the first block's last M words then
+    # hold M - 1 cycle words but no mark, so the tail lies above 1, the
+    # span's low end, and it is 2.
+    period, _, marks = tabulated(170)[0]
+    seed = next(z for mark in marks[:-1] for z in preimages(mark ^ 1 << 31, 170))
+    monkeypatch.setattr(prng, "CYCLE_BLOCK", M)
+    *_, (tail, _, _) = prng.cycle_blocks(seed, 170, 10**7, array("I"))
+    assert tail == 2
+    # the hit is x_1025, mark 1 past the entry, and one lane covers x_1 .. x_1025
+    assert cycle_length(seed, 170) == (2, period, 2 * M + M)
+    assert prng_lanes == [(1, M)]
+
+
+def test_a_tail_at_a_block_end(prng_lanes):
+    # The example orbit entered 8,192 steps from its seed: the second
+    # block's last word is the first on the cycle. It is no mark, so the
+    # third block holds the hit, and five lanes span back past the second
+    # block's last M words.
+    x = advance(0x80000000, 170, 39_396 - 2 * CYCLE_BLOCK)
+    assert cycle_length(x, 170) == (2 * CYCLE_BLOCK, 168_564, 3 * CYCLE_BLOCK + 5 * M)
+    assert prng_lanes == [(5, M)]
+
+
+@pytest.mark.parametrize("mu", [129, 131])
+def test_mu_without_a_tabulated_cycle_closes_off_the_table(prng_lanes, mu):
+    rng = random.Random(mu)
+    for _ in range(4):
+        seed = rng.getrandbits(32)
+        *_, want = prng.cycle_blocks(seed, mu, 10**7, array("I"))
+        assert cycle_length(seed, mu) == want
+    assert prng_lanes == []
+
+
+@pytest.mark.parametrize("seed, mu", [(0x80000000, 170), (0x65BD9ACB, 200)])
+def test_every_budget_gives_the_table_close_or_the_closure_off_it(seed, mu):
+    # Budgets around the hit, the lanes' end, tail + period and the closure
+    # off the table. A budget the lanes would pass, or below the hit's p +
+    # period, sets the table aside, and the closure runs on alone: its
+    # result at that budget, exact or not found, is cycle_length's. mu
+    # 200's cycle of 4,560 words closes off the table sooner than the
+    # lanes end.
+    *_, (tail, period, closed) = prng.cycle_blocks(seed, mu, 10**7, array("I"))
+    tabled = cycle_length(seed, mu)
+    assert tabled[:2] == (tail, period)
+    hit = tabled.steps_examined - tabled.steps_examined % CYCLE_BLOCK
+    budgets = {hit - 1, hit, hit + 1, hit - 123, tail + period - 1, tail + period,
+               closed + CYCLE_BLOCK}
+    budgets |= {b + d for b in (tabled.steps_examined, closed)
+                for d in range(-CYCLE_BLOCK, 2, 256)}
+    results = set()
+    for budget in sorted(budgets):
+        result = cycle_length(seed, mu, budget)
+        *_, off = prng.cycle_blocks(seed, mu, budget, array("I"))
+        assert result in (off, tabled)
+        assert result.steps_examined <= budget
+        if result.found:
+            assert tail + period <= budget
+        if off[1] is not None:
+            assert result.found
+        results.add(result.found and result == tabled)
+    assert results == {True, False}
+
+
+@pytest.mark.parametrize("hex_key", [*BULK_KEYS, "7311D8A385A6CECC1B8F",
+                                     "D7185DDA8165BD9ACBC8"])
+def test_key_period_is_the_same_off_the_table(no_table, hex_key):
+    key = parse_key(hex_key, allow_weak_mu=True)
+    record = keystream.key_period(key)
+    assert record is not None
+    no_table()
+    assert keystream.key_period(key) == record

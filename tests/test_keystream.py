@@ -436,14 +436,15 @@ BULK_KEYS = ("F4271242D67D883F82A5", "C13EE345BB155AB65983",
 
 
 def test_bulk_encrypt_orbits_close_within_two_closure_blocks():
-    # encrypt's reads step each of these eight orbits from its seed, through
-    # prng.cycle_blocks with this budget, until it closes; cycle_length runs
-    # the same closure to its end, and key_period records both of a key's
+    # prng.cycle_blocks, the closure off the cycle table, closes each of
+    # these eight orbits from its seed within this budget, and key_period,
+    # which closes them on the table where it can, records both of a key's
+    # with the same tails and periods
     steps = visited = 0
     for key in map(parse_key, BULK_KEYS):
         orbits = []
         for seed, mu in ((key.seed1, key.mu1), (key.seed2, key.mu2)):
-            tail, period, n = analysis.cycle_length(seed, mu, keystream.TABLE_CAP)
+            *_, (tail, period, n) = prng.cycle_blocks(seed, mu, keystream.TABLE_CAP, array("I"))
             # 64 = isqrt(CYCLE_BLOCK), which divides CYCLE_BLOCK
             assert tail + period <= n < tail + period + prng.CYCLE_BLOCK + 64
             steps, visited = steps + n, visited + tail + period
@@ -606,12 +607,12 @@ def test_capped_orbit_and_b_are_recorded_once(monkeypatch):
     want = keystream_bytes(SIM_KEY, 150_000)
     monkeypatch.setattr(keystream, "TABLE_CAP", 1 << 17)
     recorded = []
-    cycle_blocks = keystream.cycle_blocks
+    close_orbit = keystream.close_orbit
 
     def counted(x, mu, max_steps, words):
         recorded.append((x, mu))
-        return cycle_blocks(x, mu, max_steps, words)
-    monkeypatch.setattr(keystream, "cycle_blocks", counted)
+        return close_orbit(x, mu, max_steps, words)
+    monkeypatch.setattr(keystream, "close_orbit", counted)
     gen = KeystreamGenerator.from_key(SIM_KEY)
     assert b"".join(gen.read(50_000) for _ in range(3)) == want
     # the next read needs a's word past the cap; a refused read records both

@@ -107,12 +107,14 @@ def test_cycle_and_encrypt_leave_heavy_modules_unloaded(tmp_path):
 
 ORBIT_MODULES = ["analysis", "prng"]
 CIPHER_MODULES = ["cipher", "keystream", "prng"]
-# reads past TABLE_THRESHOLD record orbits, which load the cycle table
+# reads past TABLE_THRESHOLD record orbits, and cycle and keygen close
+# orbits, which loads the cycle table
 RECORD_MODULES = ["_cycles", *CIPHER_MODULES]
 COMMAND_MODULES = [
-    (["cycle", "--seed", "0x80000000", "--mu", "170", "--report", "json"], ORBIT_MODULES),
+    (["cycle", "--seed", "0x80000000", "--mu", "170", "--report", "json"],
+     ["_cycles", *ORBIT_MODULES]),
     (["bifurcate", "--mu-min", "250", "--mu-max", "255", "--out", "{out}"], ORBIT_MODULES),
-    (["keygen"], CIPHER_MODULES),
+    (["keygen"], RECORD_MODULES),
     (["keystream", "--key", "{key}", "--bytes", "70000", "--out", "{out}"], RECORD_MODULES),
     (["encrypt", "--key", "{key}", "--in", "{plain}", "--out", "{out}"], RECORD_MODULES),
     (["decrypt", "--key", "{key}", "--in", "{plain}", "--out", "{out}"], RECORD_MODULES),
@@ -143,11 +145,14 @@ def test_each_command_loads_only_the_modules_it_runs(argv, modules, tmp_path):
 
 def test_key_setup_and_short_reads_leave_the_cycle_table_unloaded():
     # the benchmark's setup path and small messages read below
-    # TABLE_THRESHOLD, where no orbit is recorded
+    # TABLE_THRESHOLD, where no orbit is recorded; the modules that close
+    # orbits load the table only when they close one
     code = "\n".join([
         "import sys",
         "import bernstream",
         "loaded = [('import', 'bernstream._cycles' in sys.modules)]",
+        "import bernstream.prng, bernstream.analysis",
+        "loaded.append(('prng and analysis', 'bernstream._cycles' in sys.modules))",
         "from bernstream.cipher import parse_key",
         "from bernstream.keystream import TABLE_THRESHOLD, KeystreamGenerator",
         "gen = KeystreamGenerator.from_key(parse_key('0123456789ABCDEF12C3'))",
@@ -161,7 +166,8 @@ def test_key_setup_and_short_reads_leave_the_cycle_table_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == str(
-        [("import", False), ("setup", False), ("short read", False), ("threshold", True)])
+        [("import", False), ("prng and analysis", False), ("setup", False),
+         ("short read", False), ("threshold", True)])
 
 
 HELP_ARGVS = [["--help"], *([argv[0], "--help"] for argv, _ in COMMAND_MODULES)]

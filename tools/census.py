@@ -5,9 +5,12 @@ random.Random(CENSUS_SEED) with prng.cycle_blocks, name each cycle by its
 smallest word, and write src/bernstream/_cycles.py: for each mu, every
 cycle of at least prng.CYCLE_BLOCK words, with its period, the number of
 seeds that fell onto it, and its words at positions 0, M, 2M, ... from its
-smallest word. The keystream's recorded orbits read the table to close an
-orbit on a tabulated cycle early and to step the rest of its cycle as
-lanes (see keystream._Orbit).
+smallest word. prng.close_orbit reads the table to close an orbit on a
+tabulated cycle early, stepping only about its tail; so do its callers,
+analysis.cycle_length (the `cycle` command), keystream.key_period
+(`keygen`) and the keystream's recorded orbits, which also step the rest
+of the cycle as lanes (see keystream._Orbit). The census itself closes
+its orbits with prng.cycle_blocks, off the table.
 
     PYTHONPATH=src python tools/census.py            # write the table
     PYTHONPATH=src python tools/census.py --check --mu 129 --mu 200
